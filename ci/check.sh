@@ -22,7 +22,9 @@
 #   4. AddressSanitizer+UBSan build + tests, with a reduced sim corpus.
 #   5. ThreadSanitizer build + tests. The concurrency suite (stress, fuzz,
 #      concurrent oracle, sim) must be race-free; the sim sweep runs with
-#      a reduced seed corpus since TSan is ~10x slower.
+#      a reduced seed corpus since TSan is ~10x slower. The API fuzzer
+#      then repeats 20 times: its GC/wall-release chaos thread is what
+#      exposes a read-only transaction the GC horizon fails to cover.
 #
 # Usage: ci/check.sh [jobs]
 # Knobs: HDD_CHECK_STAGES=release,bench,sim,crash,dist,asan,tsan  subset
@@ -42,6 +44,9 @@ CRASH_SEEDS="${HDD_SIM_CRASH_SEEDS:-2000}"
 # main drift sweep; the epoch/canary/crash variants keep their in-test
 # defaults in the sim stage and shrink under the sanitizers.
 REDECOMP_SEEDS="${HDD_SIM_REDECOMP_SEEDS:-500}"
+# Per-transaction bound memo canary (SimExplore.MemoCanaryMutationIsCaught:
+# a stale memo entry served for another target class must be caught).
+MEMO_CANARY_SEEDS="${HDD_SIM_MEMO_CANARY_SEEDS:-300}"
 # Distributed sweeps (tests/test_dist_sim.cc): message-fault, cluster
 # crash, stale-bound canary. Shrunk under the sanitizers below.
 DIST_SEEDS="${HDD_SIM_DIST_SEEDS:-500}"
@@ -128,6 +133,7 @@ if want sim; then
   echo "=== Simulation sweep ($SIM_SEEDS seeds, $REDECOMP_SEEDS redecomp) ==="
   (cd build && HDD_SIM_SEEDS="$SIM_SEEDS" \
     HDD_SIM_REDECOMP_SEEDS="$REDECOMP_SEEDS" \
+    HDD_SIM_MEMO_CANARY_SEEDS="$MEMO_CANARY_SEEDS" \
     ctest --output-on-failure -L sim)
 fi
 
@@ -169,6 +175,7 @@ if want asan && [[ "${HDD_SKIP_ASAN:-0}" != 1 ]]; then
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     HDD_SIM_SEEDS="$SIM_SEEDS_ASAN" HDD_SIM_CANARY_SEEDS=50 \
+    HDD_SIM_MEMO_CANARY_SEEDS=50 \
     HDD_SIM_CRASH_SEEDS=200 HDD_SIM_CRASH_PERCOMMIT_SEEDS=50 \
     HDD_SIM_WAL_CANARY_SEEDS=50 HDD_SIM_EPOCH_SEEDS=200 \
     HDD_SIM_EPOCH_CANARY_SEEDS=50 HDD_SIM_EPOCH_CRASH_SEEDS=100 \
@@ -189,6 +196,7 @@ if want tsan && [[ "${HDD_SKIP_TSAN:-0}" != 1 ]]; then
   # sweep shrinks to keep the TSan stage's runtime sane.
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
     HDD_SIM_SEEDS="$SIM_SEEDS_TSAN" HDD_SIM_CANARY_SEEDS=50 \
+    HDD_SIM_MEMO_CANARY_SEEDS=50 \
     HDD_SIM_CRASH_SEEDS=200 HDD_SIM_CRASH_PERCOMMIT_SEEDS=50 \
     HDD_SIM_WAL_CANARY_SEEDS=50 HDD_SIM_EPOCH_SEEDS=100 \
     HDD_SIM_EPOCH_CANARY_SEEDS=50 HDD_SIM_EPOCH_CRASH_SEEDS=100 \
@@ -197,6 +205,9 @@ if want tsan && [[ "${HDD_SKIP_TSAN:-0}" != 1 ]]; then
     HDD_SIM_DIST_SEEDS=60 HDD_SIM_DIST_CRASH_SEEDS=40 \
     HDD_SIM_DIST_CANARY_SEEDS=20 \
     ctest --output-on-failure -j "$JOBS")
+  echo "=== ThreadSanitizer: API fuzzer, 20 repeats ==="
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
+    ./tests/test_fuzz_controllers --gtest_repeat=20)
 fi
 
 echo "=== All checks passed ==="

@@ -43,6 +43,25 @@ std::optional<std::vector<NodeId>> TstAnalysis::CriticalPath(NodeId i,
   return path;
 }
 
+NodeId TstAnalysis::NextOnCriticalPath(NodeId u, NodeId j) const {
+  assert(reduction_closure_[u][j]);
+  // In a semi-tree exactly one critical arc out of u leads on towards j.
+  for (NodeId v : reduction_.OutNeighbors(u)) {
+    if (v == j || reduction_closure_[v][j]) return v;
+  }
+  assert(false && "no critical step towards j");
+  return j;
+}
+
+NodeId TstAnalysis::PrevOnCriticalPath(NodeId i, NodeId v) const {
+  assert(reduction_closure_[i][v]);
+  for (NodeId w : reduction_.InNeighbors(v)) {
+    if (w == i || reduction_closure_[i][w]) return w;
+  }
+  assert(false && "no critical step back towards i");
+  return i;
+}
+
 bool TstAnalysis::Higher(NodeId j, NodeId i) const {
   if (i == j) return false;
   return reduction_closure_[i][j];

@@ -42,6 +42,17 @@ class TstAnalysis {
   /// CriticalPath(i, i) == {i}.
   std::optional<std::vector<NodeId>> CriticalPath(NodeId i, NodeId j) const;
 
+  /// The step after u on the critical path u -> ... -> j: the out-neighbour
+  /// v of u in the reduction with v == j or Higher(j, v). Precondition:
+  /// Higher(j, u). Allocation-free; stepping u = NextOnCriticalPath(u, j)
+  /// from i until u == j visits exactly CriticalPath(i, j).
+  NodeId NextOnCriticalPath(NodeId u, NodeId j) const;
+
+  /// The mirror step for descending walks: the step before v on the
+  /// critical path i -> ... -> v, i.e. the in-neighbour w of v in the
+  /// reduction with w == i or Higher(w, i). Precondition: Higher(v, i).
+  NodeId PrevOnCriticalPath(NodeId i, NodeId v) const;
+
   /// Paper's `T_j ↑ T_i` ("j higher than i"): a critical path i -> j
   /// exists. Higher(i, i) is false.
   bool Higher(NodeId j, NodeId i) const;

@@ -118,7 +118,7 @@ void HddController::StopWallPacer() {
 }
 
 ClassId HddController::ClassOfSegment(SegmentId segment) const {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   return class_of_segment_[segment];
 }
 
@@ -128,7 +128,7 @@ Result<bool> HddController::IsLegalAccessPattern(
   if (write_segments.empty()) {
     return Status::InvalidArgument("pattern needs a write segment");
   }
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   const int num_segments = static_cast<int>(class_of_segment_.size());
   for (SegmentId s : write_segments) {
     if (s < 0 || s >= num_segments) {
@@ -167,7 +167,7 @@ void HddController::SignalFinishEvent() {
 Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
   for (;;) {
     SimYield("hdd/begin");
-    std::shared_lock<std::shared_mutex> gate(struct_mu_);
+    std::shared_lock<StructureGate> gate(struct_mu_);
     TxnRuntime runtime;
     runtime.descriptor.read_only = options.read_only;
     if (options.read_only) {
@@ -176,12 +176,17 @@ Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
         HDD_ASSIGN_OR_RETURN(runtime.hosted_below,
                              ResolveHostClass(options.read_scope));
       }
+      const bool hosted = runtime.hosted_below != kReadOnlyClass;
+      if (options.as_of_wall >= 0 && hosted) {
+        return Status::InvalidArgument(
+            "as_of_wall cannot combine with a hosted read scope");
+      }
+      // Initiate, choose the wall and register in ONE wall-mutex critical
+      // section: a collection computes its horizon under the same mutex,
+      // so it either sees this reader's pin / hosted registration or
+      // started before the tick and keeps its horizon at or below I(t).
+      std::lock_guard<std::mutex> wg(wall_mu_);
       if (options.as_of_wall >= 0) {
-        if (runtime.hosted_below != kReadOnlyClass) {
-          return Status::InvalidArgument(
-              "as_of_wall cannot combine with a hosted read scope");
-        }
-        std::lock_guard<std::mutex> wg(wall_mu_);
         if (static_cast<std::size_t>(options.as_of_wall) >= walls_.size()) {
           return Status::InvalidArgument("no such time wall");
         }
@@ -193,13 +198,23 @@ Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
                 "versions may be gone");
           }
         }
-        // Pin in the same critical section that validated the horizon, so
-        // a concurrent collection cannot slip past the wall in between.
-        ++wall_pins_[&wall];
         runtime.wall = &wall;
       }
       active_txns_.fetch_add(1);
       runtime.descriptor.init_ts = clock_->Tick();
+      if (hosted) {
+        hosted_inits_.insert(runtime.descriptor.init_ts);
+      } else if (runtime.wall == nullptr) {
+        // Protocol C reads under the newest wall released before I(t).
+        // With none, the first read releases (and pins) a fresh one.
+        for (auto it = walls_.rbegin(); it != walls_.rend(); ++it) {
+          if (it->release_time < runtime.descriptor.init_ts) {
+            runtime.wall = &*it;
+            break;
+          }
+        }
+      }
+      if (runtime.wall != nullptr) ++wall_pins_[runtime.wall];
     } else {
       if (options.txn_class < 0 || options.txn_class >= num_classes_) {
         return Status::InvalidArgument(
@@ -241,7 +256,7 @@ Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
 }
 
 Result<EpochHandle> HddController::BeginEpoch() {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   auto ctx = std::make_shared<EpochContext>();
   ctx->id = next_epoch_id_.fetch_add(1);
   ctx->num_classes = num_classes_;
@@ -289,7 +304,7 @@ Result<std::vector<TxnDescriptor>> HddController::BeginBatch(
   }
   // Validate every declared class before the first effect.
   {
-    std::shared_lock<std::shared_mutex> gate(struct_mu_);
+    std::shared_lock<StructureGate> gate(struct_mu_);
     for (const TxnOptions& options : batch) {
       if (!options.read_only &&
           (options.txn_class < 0 || options.txn_class >= num_classes_)) {
@@ -328,7 +343,7 @@ Result<std::vector<TxnDescriptor>> HddController::BeginBatch(
   // transaction. Batch order is preserved within a class, so initiation
   // timestamps are consistent with the epoch executor's dependency-graph
   // direction (edges point from earlier to later batch index).
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   std::vector<std::vector<std::size_t>> by_class(
       static_cast<std::size_t>(num_classes_));
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -478,6 +493,28 @@ Result<ClassId> HddController::ResolveHostClass(
   return lowest;
 }
 
+Timestamp* HddController::BoundMemo(TxnRuntime* runtime) {
+  if (runtime->memo_gen != struct_gen_) {
+    runtime->bound_memo.assign(static_cast<std::size_t>(num_classes_),
+                               kTimestampInfinity);
+    runtime->memo_gen = struct_gen_;
+  }
+  return runtime->bound_memo.data();
+}
+
+void HddController::ReleaseReadOnlyHolds(const TxnRuntime& runtime) {
+  if (!runtime.descriptor.read_only) return;
+  const bool hosted = runtime.hosted_below != kReadOnlyClass;
+  if (runtime.wall == nullptr && !hosted) return;
+  std::lock_guard<std::mutex> wg(wall_mu_);
+  if (runtime.wall != nullptr) {
+    auto it = wall_pins_.find(runtime.wall);
+    assert(it != wall_pins_.end());
+    if (--it->second == 0) wall_pins_.erase(it);
+  }
+  if (hosted) hosted_inits_.erase(runtime.descriptor.init_ts);
+}
+
 Result<HddController::TxnRuntime*> HddController::FindTxn(
     const TxnDescriptor& txn) {
   CachedTxnLookup& cache = t_txn_lookup;
@@ -563,7 +600,7 @@ Result<Value> HddController::Read(const TxnDescriptor& txn,
   // structure is frozen for the epoch's whole lifetime. Per-txn
   // transactions — including every read-only admission, which BeginBatch
   // routes through Begin — still take it shared per operation.
-  std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
+  std::shared_lock<StructureGate> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(TxnRuntime * runtime, FindTxn(txn));
   Result<Value> result = [&]() -> Result<Value> {
@@ -610,7 +647,8 @@ Result<Value> HddController::ReadHigherSegment(TxnRuntime* runtime,
     // Several bound evaluations per transaction, each ~100ns: sampled,
     // or the span would outweigh the evaluation it measures.
     HDD_TRACE_SPAN_SAMPLED("hdd", "protocol_a_bound", 16);
-    return eval_->A(own_class, target_class, runtime->descriptor.init_ts);
+    return eval_->A(own_class, target_class, runtime->descriptor.init_ts,
+                    BoundMemo(runtime));
   }();
   if (!bound.ok()) {
     return Status::InvalidArgument(
@@ -620,9 +658,17 @@ Result<Value> HddController::ReadHigherSegment(TxnRuntime* runtime,
   // at the raw initiation time: a still-active older transaction of the
   // target class may then commit BELOW the served bound later, which the
   // oracle's bound replay against the final chains must flag.
-  const Timestamp served = options_.mutation_unsafe_protocol_a
-                               ? runtime->descriptor.init_ts
-                               : *bound;
+  // The memo canary serves every read at the first bound memoised, as if
+  // the memo had ignored the target class.
+  Timestamp served = *bound;
+  if (options_.mutation_unsafe_protocol_a) {
+    served = runtime->descriptor.init_ts;
+  } else if (options_.mutation_a_memo_ignores_target) {
+    if (runtime->mutation_first_bound == kTimestampInfinity) {
+      runtime->mutation_first_bound = *bound;
+    }
+    served = runtime->mutation_first_bound;
+  }
   // The bound is stable, so the serve point is preemptible before the
   // shard latch — this window (bound fixed, version not yet read) is
   // where racing installs would break an unsound bound.
@@ -638,8 +684,9 @@ Result<Value> HddController::ReadHigherSegment(TxnRuntime* runtime,
   // Theorem-backed invariant: every version below the activity link bound
   // was created by a transaction that already finished, hence the latest
   // *committed* version below the bound is the latest version, period.
-  // (Void by construction under the canary mutation.)
+  // (Void by construction under the canary mutations.)
   assert(options_.mutation_unsafe_protocol_a ||
+         options_.mutation_a_memo_ignores_target ||
          (g.VersionBefore(served) != nullptr &&
           g.VersionBefore(served)->wts == version->wts));
   // "No trace of this access needs to be registered in any form" (§4.2).
@@ -663,9 +710,14 @@ Result<Value> HddController::ReadHosted(TxnRuntime* runtime,
   }
   HDD_TRACE_SPAN("hdd", "hosted_read");
   SimYield("hdd/read_hosted");
-  const Timestamp base =
-      shard_source_.OldestActiveAt(host, runtime->descriptor.init_ts);
-  auto bound = eval_->A(host, target_class, base);
+  // The base I^old_host(I(t)) is stable like every bound on the path, so
+  // it is memoised in the host's own slot and the walk starts from it.
+  Timestamp* memo = BoundMemo(runtime);
+  if (memo[host] == kTimestampInfinity) {
+    memo[host] =
+        shard_source_.OldestActiveAt(host, runtime->descriptor.init_ts);
+  }
+  auto bound = eval_->A(host, target_class, memo[host], memo);
   if (!bound.ok()) return bound.status();
   SimYield("hdd/read_hosted/serve");
   // Same as Protocol A above: gate held shared, no waiting — a raw
@@ -685,7 +737,7 @@ Result<Value> HddController::ReadHosted(TxnRuntime* runtime,
 }
 
 Result<Value> HddController::ReadOwnSegment(
-    std::shared_lock<std::shared_mutex>& gate, TxnRuntime* runtime,
+    std::shared_lock<StructureGate>& gate, TxnRuntime* runtime,
     GranuleRef granule) {
   // The span covers the TO check and any wait on an uncommitted version —
   // Protocol B's whole registration cost. Sampled: the uncontended check
@@ -742,41 +794,29 @@ Result<Value> HddController::ReadOwnSegment(
 }
 
 Result<Value> HddController::ReadUnderWall(
-    std::shared_lock<std::shared_mutex>& gate, TxnRuntime* runtime,
+    std::shared_lock<StructureGate>& gate, TxnRuntime* runtime,
     GranuleRef granule) {
-  // Protocol C: pin the wall on first read so the whole transaction sees
-  // one consistent cut.
+  // Protocol C: the whole transaction reads under one wall — one
+  // consistent cut — pinned by Begin.
   HDD_TRACE_SPAN("hdd", "protocol_c_read");
   SimYield("hdd/read_c");
   if (runtime->wall == nullptr) {
-    {
-      std::lock_guard<std::mutex> wg(wall_mu_);
-      for (auto it = walls_.rbegin(); it != walls_.rend(); ++it) {
-        if (it->release_time < runtime->descriptor.init_ts) {
-          runtime->wall = &*it;
-          ++wall_pins_[&*it];
-          break;
-        }
-      }
-    }
-    if (runtime->wall == nullptr) {
-      // No wall released before we started: release one now and use it —
-      // still a consistent cut by Theorem 2, just fresher than the paper's
-      // batched variant. ReleaseWallInternal pins it for us atomically
-      // with publication.
-      auto released = ReleaseWallInternal(gate, runtime);
-      if (!released.ok()) return released.status();
-    }
+    // No wall released before we started: release one now and use it —
+    // still a consistent cut by Theorem 2, just fresher than the paper's
+    // batched variant. ReleaseWallInternal pins it for us atomically with
+    // publication.
+    auto released = ReleaseWallInternal(gate, runtime);
+    if (!released.ok()) return released.status();
   }
   const TimeWall* wall = runtime->wall;
   bool waited = false;
   for (;;) {
     SimYield("hdd/read_c/serve");
-    // Both the segment->class map and the wall's bound vector are remapped
-    // in place by Restructure (under the exclusive gate), so re-read them
-    // on every attempt.
+    // The segment->class map is remapped in place by Restructure (under
+    // the exclusive gate), so re-read it on every attempt; the wall's
+    // per-segment cut never changes.
     const ClassId target_class = class_of_segment_[granule.segment];
-    const Timestamp bound = wall->bound[target_class];
+    const Timestamp bound = wall->segment_bound[granule.segment];
     ClassShard* shard = shards_[target_class].get();
     std::unique_lock<std::mutex> shard_lock(shard->mu);
     Granule& g = db_->granule(granule);
@@ -805,7 +845,7 @@ Result<Value> HddController::ReadUnderWall(
 }
 
 Result<const TimeWall*> HddController::ReleaseWallInternal(
-    std::shared_lock<std::shared_mutex>& gate, TxnRuntime* pin_for) {
+    std::shared_lock<StructureGate>& gate, TxnRuntime* pin_for) {
   // While a computation is mid-retry the idle trim stands down, so the
   // finished straddlers its C^late queries may stab stay available.
   struct ComputeGuard {
@@ -860,6 +900,9 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
       }
       if (settled) {
         HDD_TRACE_INSTANT("hdd", "wall_release");
+        for (const ClassId c : class_of_segment_) {
+          wall->segment_bound.push_back(wall->bound[c]);
+        }
         wall->release_time = clock_->Tick();
         std::lock_guard<std::mutex> wg(wall_mu_);
         walls_.push_back(*std::move(wall));
@@ -888,7 +931,7 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
 }
 
 Status HddController::ReleaseNewWall() {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   return ReleaseWallInternal(gate, nullptr).status();
 }
 
@@ -897,7 +940,7 @@ Status HddController::Write(const TxnDescriptor& txn, GranuleRef granule,
   HDD_RETURN_IF_ERROR(db_->Validate(granule));
   // Same gate-skip as Read: the epoch/restructure exclusion freezes the
   // structure for epoch-admitted transactions.
-  std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
+  std::shared_lock<StructureGate> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(TxnRuntime * runtime, FindTxn(txn));
   if (runtime->descriptor.read_only) {
@@ -997,12 +1040,14 @@ Status HddController::Commit(const TxnDescriptor& txn) {
   HDD_TRACE_SPAN("hdd", "commit");
   // Same gate-skip as Read: the epoch/restructure exclusion freezes the
   // structure for epoch-admitted transactions.
-  std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
+  std::shared_lock<StructureGate> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
   // Before any early return below: a failed commit still performed its
-  // reads and installs, and the counters must say so.
+  // reads and installs, and the counters must say so. A read-only
+  // transaction's reads are over, so its GC holds go now too.
   FlushOpMetrics(*runtime);
+  ReleaseReadOnlyHolds(*runtime);
   std::uint64_t commit_ticket = 0;
   if (!runtime->descriptor.read_only) {
     // Raw pointer: only used while the gate is held (shared), and this
@@ -1075,12 +1120,6 @@ Status HddController::Commit(const TxnDescriptor& txn) {
     if (had_gate) gate.lock();
     HDD_RETURN_IF_ERROR(durable);
   }
-  if (runtime->wall != nullptr) {
-    std::lock_guard<std::mutex> wg(wall_mu_);
-    auto it = wall_pins_.find(runtime->wall);
-    assert(it != wall_pins_.end());
-    if (--it->second == 0) wall_pins_.erase(it);
-  }
   if (options_.footprint != nullptr) PublishFootprint(*runtime);
   recorder_.RecordOutcome(txn.id, TxnState::kCommitted);
   metrics_.commits.Add(1);
@@ -1096,7 +1135,7 @@ Status HddController::Abort(const TxnDescriptor& txn) {
   SimYield("hdd/abort", /*interruptible=*/false);
   // Same gate-skip as Read: the epoch/restructure exclusion freezes the
   // structure for epoch-admitted transactions.
-  std::shared_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
+  std::shared_lock<StructureGate> gate(struct_mu_, std::defer_lock);
   if (txn.epoch == 0) gate.lock();
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
   FlushOpMetrics(*runtime);
@@ -1131,12 +1170,7 @@ Status HddController::Abort(const TxnDescriptor& txn) {
     SimNotifyAll(shard->cv, shard);
     SignalFinishEvent();
   }
-  if (runtime->wall != nullptr) {
-    std::lock_guard<std::mutex> wg(wall_mu_);
-    auto it = wall_pins_.find(runtime->wall);
-    assert(it != wall_pins_.end());
-    if (--it->second == 0) wall_pins_.erase(it);
-  }
+  ReleaseReadOnlyHolds(*runtime);
   recorder_.RecordOutcome(txn.id, TxnState::kAborted);
   metrics_.aborts.Add(1);
   active_txns_.fetch_sub(1);
@@ -1181,7 +1215,7 @@ Result<ClassId> HddController::Restructure(
   std::vector<int> group_size;
   std::vector<std::shared_ptr<ClassShard>> affected;
   {
-    std::shared_lock<std::shared_mutex> gate(struct_mu_);
+    std::shared_lock<StructureGate> gate(struct_mu_);
     for (SegmentId s : write_segments) {
       if (s < 0 || s >= static_cast<int>(class_of_segment_.size())) {
         return Status::InvalidArgument("write segment out of range");
@@ -1239,16 +1273,24 @@ Result<ClassId> HddController::Restructure(
 
   {
     // The swap: the only exclusive hold of the structure gate anywhere.
-    // Acquired cooperatively: reader tasks park at preemption points while
-    // holding the gate shared, so a blocking exclusive acquisition here
-    // would stall invisibly under the deterministic scheduler (it cannot
-    // see raw futex waits). Spin on try_lock with a non-interruptible
-    // reschedule instead; outside the simulation the loop degrades to a
-    // short yield-spin, and readers never park holding the gate there.
-    std::unique_lock<std::shared_mutex> gate(struct_mu_, std::defer_lock);
-    while (!gate.try_lock()) {
-      SimYield("hdd/restructure/gate", /*interruptible=*/false);
-      std::this_thread::yield();
+    // Under the deterministic scheduler it is acquired cooperatively:
+    // reader tasks park at preemption points while holding the gate
+    // shared, so a blocking exclusive acquisition would stall invisibly
+    // (the scheduler cannot see raw futex waits). Spin on try_lock — which
+    // leaves no stripe held when it fails — with a non-interruptible
+    // reschedule instead. Outside the simulation readers never park
+    // holding the gate, and the blocking acquisition is the one that
+    // makes progress under load: it takes the stripes one at a time as
+    // each reader steps out, where a try_lock sweep must find every busy
+    // stripe free in one pass.
+    std::unique_lock<StructureGate> gate(struct_mu_, std::defer_lock);
+    if (ThreadSimHook() == nullptr) {
+      gate.lock();
+    } else {
+      while (!gate.try_lock()) {
+        SimYield("hdd/restructure/gate", /*interruptible=*/false);
+        std::this_thread::yield();
+      }
     }
 
     // Singleton groups keep their shard object (threads parked on its cv
@@ -1288,20 +1330,8 @@ Result<ClassId> HddController::Restructure(
         }
       }
     }
-    {
-      // Remap released walls in place (new bound = min of merged old
-      // bounds, the conservative cut).
-      std::lock_guard<std::mutex> wg(wall_mu_);
-      for (TimeWall& wall : walls_) {
-        std::vector<Timestamp> new_bound(plan.num_groups,
-                                         kTimestampInfinity);
-        for (ClassId c = 0; c < num_classes_; ++c) {
-          new_bound[plan.labels[c]] =
-              std::min(new_bound[plan.labels[c]], wall.bound[c]);
-        }
-        wall.bound = std::move(new_bound);
-      }
-    }
+    // Released walls are left alone: readers use their per-segment cut,
+    // which the merge does not change (TimeWall::segment_bound).
     Digraph quotient = Quotient(*extended, plan.labels, plan.num_groups);
     auto tst = TstAnalysis::Create(quotient);
     assert(tst.ok());
@@ -1310,6 +1340,7 @@ Result<ClassId> HddController::Restructure(
     num_classes_ = plan.num_groups;
     eval_ =
         std::make_unique<ActivityLinkEvaluator>(tst_.get(), &shard_source_);
+    ++struct_gen_;
   }
 
   // Reopen the orphaned shards: Begins parked on them re-resolve their
@@ -1331,7 +1362,7 @@ Timestamp HddController::WallMin(const TimeWall& wall) {
 }
 
 Timestamp HddController::SafeGcHorizon() const {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   std::lock_guard<std::mutex> wg(wall_mu_);
   return ComputeSafeGcHorizon();
 }
@@ -1352,6 +1383,12 @@ Timestamp HddController::ComputeSafeGcHorizon() const {
     if (current_epoch_ != nullptr) {
       horizon = std::min(horizon, current_epoch_->anchor);
     }
+  }
+  // A hosted reader is in no class table, yet reads at A_host^k applied to
+  // I^old_host(I(t)): seed the fixpoint with the oldest one's I(t) so the
+  // closure below covers every such bound too.
+  if (!hosted_inits_.empty()) {
+    horizon = std::min(horizon, *hosted_inits_.begin());
   }
   // Close the horizon under I^old. A Protocol A (or hosted) read serves
   // at a composition of I^old values, and the transaction an I^old named
@@ -1384,7 +1421,7 @@ Timestamp HddController::ComputeSafeGcHorizon() const {
 
 std::size_t HddController::CollectGarbage() {
   HDD_TRACE_SPAN("hdd", "gc_sweep");
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   Timestamp horizon;
   {
     // Fix the horizon and raise the AS-OF guard in one critical section:
@@ -1410,7 +1447,7 @@ std::size_t HddController::CollectGarbage() {
 }
 
 std::size_t HddController::ActivityHistorySize() const {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   std::size_t total = 0;
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
@@ -1430,7 +1467,7 @@ Status HddController::CheckpointWal() {
     return Status::FailedPrecondition("no WAL attached to the database");
   }
   HDD_TRACE_SPAN("wal", "checkpoint");
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   std::vector<SegmentCheckpoint> ckpts(class_of_segment_.size());
   for (SegmentId s = 0; s < static_cast<int>(class_of_segment_.size());
        ++s) {
@@ -1471,7 +1508,7 @@ Status HddController::CheckpointWal() {
 }
 
 std::string HddController::ExportControlState() const {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   return ExportControlStateLocked();
 }
 
@@ -1514,7 +1551,7 @@ Status HddController::RestoreControlState(const std::string& blob) {
       !GetU64(&in, &clock_now) || !GetU32(&in, &num_classes)) {
     return Status::Corruption("control state: bad header");
   }
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   if (static_cast<int>(num_classes) != num_classes_) {
     return Status::FailedPrecondition(
         "control state was taken under a different class structure");
@@ -1557,6 +1594,9 @@ Status HddController::RestoreControlState(const std::string& blob) {
         return Status::Corruption("control state: truncated wall bound");
       }
     }
+    for (const ClassId c : class_of_segment_) {
+      wall.segment_bound.push_back(wall.bound[c]);
+    }
     walls_.push_back(std::move(wall));
   }
   if (!in.empty()) {
@@ -1592,7 +1632,7 @@ void HddController::MaybeTrimHistory() {
 
 Result<ActivitySlice> HddController::ExportActivitySlice(ClassId c,
                                                          Timestamp frontier) {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   if (c < 0 || c >= num_classes_) {
     return Status::InvalidArgument("no such class");
   }
@@ -1616,7 +1656,7 @@ Result<ActivitySlice> HddController::ExportActivitySlice(ClassId c,
 
 Result<std::vector<Version>> HddController::ExportVersions(
     SegmentId segment, std::uint32_t granule) {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   const GranuleRef ref{segment, granule};
   HDD_RETURN_IF_ERROR(db_->Validate(ref));
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
@@ -1632,7 +1672,7 @@ Status HddController::RecordExternalRead(const TxnDescriptor& txn,
                                          GranuleRef granule,
                                          Timestamp version_key,
                                          Timestamp bound) {
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   HDD_ASSIGN_OR_RETURN(TxnRuntime * runtime, FindTxn(txn));
   // Same accounting as ReadHigherSegment: remote Protocol A reads are
   // unregistered version reads, and the oracle replays them by bound.
@@ -1655,7 +1695,7 @@ Status HddController::PrepareExternal(
   // Participant effects must not unwind mid-way: the coordinator resolves
   // a failed prepare with AbortExternal, not by stack unwinding here.
   SimYield("hdd/dist/prepare", /*interruptible=*/false);
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   if (segment < 0 || segment >= static_cast<int>(class_of_segment_.size())) {
     return Status::InvalidArgument("no such segment");
   }
@@ -1721,7 +1761,7 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
   // Phase 2 rolls forward, never unwinds (the verdict is already durable
   // at the coordinator).
   SimYield("hdd/dist/commit_ext", /*interruptible=*/false);
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   if (segment < 0 || segment >= static_cast<int>(class_of_segment_.size())) {
     return Status::InvalidArgument("no such segment");
   }
@@ -1753,7 +1793,7 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
 Status HddController::AbortExternal(SegmentId segment, TxnId txn,
                                     Timestamp init_ts) {
   SimYield("hdd/dist/abort_ext", /*interruptible=*/false);
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   if (segment < 0 || segment >= static_cast<int>(class_of_segment_.size())) {
     return Status::InvalidArgument("no such segment");
   }
@@ -1785,7 +1825,7 @@ Status HddController::CommitDurablePhase(const TxnDescriptor& txn) {
   // their versions committed. Past this point the coordinator rolls
   // forward (the fault injector may stall but not unwind).
   SimYield("hdd/dist/commit_local", /*interruptible=*/false);
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   HDD_ASSIGN_OR_RETURN(TxnRuntime * runtime, FindTxn(txn));
   if (runtime->descriptor.read_only) {
     return Status::InvalidArgument(
@@ -1841,7 +1881,7 @@ Status HddController::FinishDistributedCommit(const TxnDescriptor& txn) {
   // I(t) only once OnFinish ran, by which time all of t's versions are
   // committed everywhere).
   SimYield("hdd/dist/finish", /*interruptible=*/false);
-  std::shared_lock<std::shared_mutex> gate(struct_mu_);
+  std::shared_lock<StructureGate> gate(struct_mu_);
   HDD_ASSIGN_OR_RETURN(std::unique_ptr<TxnRuntime> runtime, ExtractTxn(txn));
   FlushOpMetrics(*runtime);
   ClassShard* shard = shards_[runtime->descriptor.txn_class].get();

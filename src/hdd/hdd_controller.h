@@ -8,7 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,6 +18,7 @@
 #include "graph/dhg.h"
 #include "hdd/activity.h"
 #include "hdd/link_functions.h"
+#include "hdd/structure_gate.h"
 #include "hdd/time_wall.h"
 #include "obs/footprint.h"
 
@@ -49,6 +50,15 @@ struct HddControllerOptions {
   /// oracle's bound replay must catch this with a replayable seed;
   /// a harness that cannot detect the mutation is broken.
   bool mutation_unsafe_protocol_a = false;
+
+  /// TEST-ONLY mutation switch, the canary of the per-transaction bound
+  /// memo: when set, every Protocol A read of a transaction is served at
+  /// the FIRST bound the transaction memoised, whatever its target class —
+  /// a stale memo entry reused for another target. A_i^k(I(t)) for a
+  /// class k further up the path may lie below that first bound, so an
+  /// older class-k transaction active there can commit below the served
+  /// bound afterwards. The sim oracle's bound replay must catch this.
+  bool mutation_a_memo_ignores_target = false;
 
   /// When set, the controller publishes one footprint (the packed
   /// granule read/write sets) per COMMITTED transaction — the trace feed
@@ -110,21 +120,31 @@ struct ActivitySlice {
 ///  * One `ClassShard` per class holds the class's activity table and a
 ///    latch guarding it *and* the version chains of every segment the
 ///    class owns. Protocol B work touches exactly one shard.
-///  * Protocol A reads evaluate the activity link bound by locking each
-///    class shard on the critical path one at a time (never two at once):
-///    I^old/C^late values at or below the clock are stable, so the
-///    class-by-class walk equals an atomic snapshot — this is what lets
-///    cross-segment reads proceed without any global latch.
-///  * A `std::shared_mutex` structure gate protects the class structure
+///  * Protocol A reads evaluate the activity link bound by walking the
+///    critical path and latching each class shard on it one at a time
+///    (never two at once): I^old/C^late values at or below the clock are
+///    stable, so the class-by-class walk equals an atomic snapshot — this
+///    is what lets cross-segment reads proceed without any global latch.
+///    Each transaction memoises A_{own}^k(I(t)) per class k as the walk
+///    passes it (a hosted reader: A_{host}^k(I^old_host(I(t)))), so a
+///    class's shard is latched at most once per transaction for bound
+///    evaluation; the memo is dropped when a Restructure bumps the
+///    structure generation.
+///  * A reader-striped `StructureGate` protects the class structure
 ///    itself (segment->class map, semi-tree analysis, the shard vector).
-///    Per-txn operations hold it shared; only `Restructure`'s short swap
-///    window takes it exclusively. Epoch-admitted transactions skip the
-///    gate entirely: `BeginEpoch` and `Restructure` exclude each other
-///    under the epoch mutex, so the structure is frozen while an epoch
-///    is open (each returns Busy while the other is in progress). No
-///    thread ever sleeps on a condition variable while holding the gate.
-///  * Released time walls, wall pin counts and the GC horizon live under
-///    a dedicated wall mutex; the transaction registry is striped.
+///    Per-txn operations hold it shared — one stripe per thread, so
+///    readers on different threads share no cacheline; only
+///    `Restructure`'s short swap window takes it exclusively (every
+///    stripe). Epoch-admitted transactions skip the gate entirely:
+///    `BeginEpoch` and `Restructure` exclude each other under the epoch
+///    mutex, so the structure is frozen while an epoch is open (each
+///    returns Busy while the other is in progress). No thread ever
+///    sleeps on a condition variable while holding the gate.
+///  * Released time walls, wall pin counts, the active hosted readers'
+///    initiation times and the GC horizon live under a dedicated wall
+///    mutex; a wall reader pins its wall in Begin, and a hosted reader
+///    registers there, so the GC horizon covers both from their first
+///    instant. The transaction registry is striped.
 ///
 /// Latch order: structure gate (shared) -> { txn stripe | wall mutex ->
 /// class shard }. Data paths hold at most one class shard at a time;
@@ -378,6 +398,15 @@ class HddController : public ConcurrencyController {
     /// younger-reader write check is delegated to the epoch executor's
     /// dependency graph.
     std::shared_ptr<EpochContext> epoch;
+    /// Per-transaction bound memo (see the locking model above): slot k
+    /// holds A_{own}^k(I(t)) — or, for a hosted reader,
+    /// A_{host}^k(I^old_host(I(t))), with the base itself in slot host —
+    /// and kTimestampInfinity until evaluated. Valid while `memo_gen`
+    /// equals the controller's structure generation.
+    std::vector<Timestamp> bound_memo;
+    std::uint64_t memo_gen = 0;
+    /// mutation_a_memo_ignores_target only: the first bound served.
+    Timestamp mutation_first_bound = kTimestampInfinity;
     /// Deferred per-operation metric counts (touched only by the driving
     /// thread, like `writes`), flushed into the shared counters once when
     /// the transaction finishes: one atomic per counter per transaction
@@ -418,14 +447,22 @@ class HddController : public ConcurrencyController {
   /// gate.
   Result<ClassId> ResolveHostClass(const std::vector<SegmentId>& scope);
 
+  /// The runtime's bound memo for the current class structure, reset when
+  /// a Restructure bumped the generation since it was filled. Caller holds
+  /// the structure gate (shared).
+  Timestamp* BoundMemo(TxnRuntime* runtime);
+  /// Drops a finishing read-only transaction's wall pin and hosted-reader
+  /// registration, if any.
+  void ReleaseReadOnlyHolds(const TxnRuntime& runtime);
+
   /// Read paths. All take the caller's structure-gate lock so they can
   /// release it (and reacquire after) around any condition-variable wait.
-  Result<Value> ReadOwnSegment(std::shared_lock<std::shared_mutex>& gate,
+  Result<Value> ReadOwnSegment(std::shared_lock<StructureGate>& gate,
                                TxnRuntime* runtime, GranuleRef granule);
   Result<Value> ReadHigherSegment(TxnRuntime* runtime, GranuleRef granule,
                                   ClassId own_class, ClassId target_class);
   Result<Value> ReadHosted(TxnRuntime* runtime, GranuleRef granule);
-  Result<Value> ReadUnderWall(std::shared_lock<std::shared_mutex>& gate,
+  Result<Value> ReadUnderWall(std::shared_lock<StructureGate>& gate,
                               TxnRuntime* runtime, GranuleRef granule);
 
   /// Computes and releases a wall; caller holds the structure gate
@@ -435,7 +472,7 @@ class HddController : public ConcurrencyController {
   /// the same critical section that publishes it, so the GC horizon can
   /// never slip past it first.
   Result<const TimeWall*> ReleaseWallInternal(
-      std::shared_lock<std::shared_mutex>& gate, TxnRuntime* pin_for);
+      std::shared_lock<StructureGate>& gate, TxnRuntime* pin_for);
 
   /// Minimum over bound components of a wall.
   static Timestamp WallMin(const TimeWall& wall);
@@ -461,11 +498,13 @@ class HddController : public ConcurrencyController {
   /// nullptr runs the controller without logging (the pre-WAL behaviour).
   WalManager* wal_ = nullptr;
 
-  /// Structure gate: guards class_of_segment_, num_classes_, tst_, eval_
-  /// and the shards_ vector (all swapped by Restructure), plus wall bound
-  /// vectors' *shape*. Shared for every operation, exclusive only for the
-  /// Restructure swap. Never held across a cv wait.
-  mutable std::shared_mutex struct_mu_;
+  /// Structure gate: guards class_of_segment_, num_classes_, tst_, eval_,
+  /// struct_gen_ and the shards_ vector (all swapped by Restructure).
+  /// Shared for every operation, exclusive only for the Restructure swap.
+  /// Never held across a cv wait.
+  mutable StructureGate struct_mu_;
+  /// Bumped by every Restructure swap; invalidates bound memos.
+  std::uint64_t struct_gen_ = 1;
   std::vector<ClassId> class_of_segment_;
   int num_classes_ = 0;
   std::unique_ptr<TstAnalysis> tst_;
@@ -483,6 +522,10 @@ class HddController : public ConcurrencyController {
   mutable std::mutex wall_mu_;
   std::deque<TimeWall> walls_;
   std::unordered_map<const TimeWall*, int> wall_pins_;
+  /// Initiation times of active hosted read-only transactions. They are in
+  /// no class table, yet read at bounds derived from I(t), so the GC
+  /// horizon fixpoint is seeded with the oldest.
+  std::set<Timestamp> hosted_inits_;
   Timestamp last_gc_horizon_ = kTimestampMin;
 
   std::array<TxnStripe, kTxnStripes> txn_stripes_;

@@ -14,23 +14,29 @@ ActivityLinkEvaluator::ActivityLinkEvaluator(
   assert(static_cast<int>(tables->size()) == tst_->graph().num_nodes());
 }
 
-Result<Timestamp> ActivityLinkEvaluator::A(ClassId i, ClassId j,
-                                           Timestamp m) const {
-  auto path = tst_->CriticalPath(i, j);
-  if (!path.has_value()) {
+Result<Timestamp> ActivityLinkEvaluator::A(ClassId i, ClassId j, Timestamp m,
+                                           Timestamp* memo) const {
+  if (i == j) return m;
+  if (!tst_->Higher(j, i)) {
     return Status::InvalidArgument("no critical path for A");
   }
+  if (memo != nullptr && memo[j] != kTimestampInfinity) return memo[j];
   Timestamp value = m;
-  for (std::size_t k = 1; k < path->size(); ++k) {
-    value = source_->OldestActiveAt((*path)[k], value);
+  for (ClassId u = i; u != j;) {
+    u = tst_->NextOnCriticalPath(u, j);
+    if (memo != nullptr && memo[u] != kTimestampInfinity) {
+      value = memo[u];
+      continue;
+    }
+    value = source_->OldestActiveAt(u, value);
+    if (memo != nullptr) memo[u] = value;
   }
   return value;
 }
 
 Result<Timestamp> ActivityLinkEvaluator::B(ClassId j, ClassId i,
                                            Timestamp m) const {
-  auto path = tst_->CriticalPath(i, j);  // directed i -> ... -> j
-  if (!path.has_value()) {
+  if (i != j && !tst_->Higher(j, i)) {
     return Status::InvalidArgument("no critical path for B");
   }
   Timestamp value = m;
@@ -38,8 +44,8 @@ Result<Timestamp> ActivityLinkEvaluator::B(ClassId j, ClassId i,
   // class i, pairing each C^late_k against the I^old_k that A applies:
   // that pairing is what makes Properties 2.1 (A(B(m)) >= m) and 2.2
   // (A(B(m)-e) < m) hold class by class.
-  for (auto it = path->rbegin(); std::next(it) != path->rend(); ++it) {
-    HDD_ASSIGN_OR_RETURN(value, source_->LatestEndAt(*it, value));
+  for (ClassId u = j; u != i; u = tst_->PrevOnCriticalPath(i, u)) {
+    HDD_ASSIGN_OR_RETURN(value, source_->LatestEndAt(u, value));
   }
   return value;
 }

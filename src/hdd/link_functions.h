@@ -81,7 +81,16 @@ class ActivityLinkEvaluator {
                         const std::vector<ClassActivityTable>* tables);
 
   /// A_i^j(m). InvalidArgument when no critical path i -> j exists.
-  Result<Timestamp> A(ClassId i, ClassId j, Timestamp m) const;
+  ///
+  /// `memo`, when given, is the caller's buffer of one slot per class for
+  /// a fixed (i, m): slot k holds A_i^k(m) once some walk from i at m has
+  /// passed k, and kTimestampInfinity until then (never a real bound,
+  /// since A_i^k(m) <= m). The walk reuses the slots it finds filled and
+  /// fills the ones it evaluates, so repeated targets on one critical path
+  /// query each class's table at most once. Sound because the values at
+  /// or below the clock are stable (see ActivityTableSource).
+  Result<Timestamp> A(ClassId i, ClassId j, Timestamp m,
+                      Timestamp* memo = nullptr) const;
 
   /// B_j^i(m). InvalidArgument when no critical path i -> j exists;
   /// kBusy when a C^late along the descent is not yet computable.

@@ -17,7 +17,14 @@ namespace hdd {
 struct TimeWall {
   Timestamp m = kTimestampMin;
   ClassId s = 0;
-  std::vector<Timestamp> bound;  // indexed by class
+  std::vector<Timestamp> bound;  // indexed by class, as computed
+  /// The same cut indexed by segment (bound[c] for the class c owning the
+  /// segment at release), filled when the controller releases the wall.
+  /// Readers use this: a later Restructure renumbers and merges classes,
+  /// but each segment keeps its bound, so the wall stays the consistent
+  /// cut it was. (One bound per merged class, e.g. the minimum, is not a
+  /// consistent cut in general.)
+  std::vector<Timestamp> segment_bound;
   Timestamp release_time = kTimestampMin;
 };
 

@@ -235,6 +235,56 @@ TEST_F(HddControllerTest, GcKeepsVersionsReadersNeed) {
   ASSERT_TRUE(cc_->Commit(*reader).ok());
 }
 
+// Regression: a wall reader that began before a wall release and first
+// reads after a collection. Its wall is the one released before its Begin,
+// no longer the newest; Begin pins it, so the collection keeps the version
+// the reader is owed.
+TEST_F(HddControllerTest, WallReaderBegunBeforeReleaseSurvivesGc) {
+  auto t1 = cc_->Begin({.txn_class = 0});
+  ASSERT_TRUE(cc_->Write(*t1, kEvent, 1).ok());
+  ASSERT_TRUE(cc_->Commit(*t1).ok());
+  ASSERT_TRUE(cc_->ReleaseNewWall().ok());
+
+  auto reader = cc_->Begin({.read_only = true});
+  ASSERT_TRUE(reader.ok());
+  auto t2 = cc_->Begin({.txn_class = 0});
+  ASSERT_TRUE(cc_->Write(*t2, kEvent, 2).ok());
+  ASSERT_TRUE(cc_->Commit(*t2).ok());
+  ASSERT_TRUE(cc_->ReleaseNewWall().ok());
+  cc_->CollectGarbage();
+
+  auto value = cc_->Read(*reader, kEvent);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 1);
+  ASSERT_TRUE(cc_->Commit(*reader).ok());
+  EXPECT_TRUE(CheckSerializability(cc_->recorder()).serializable);
+}
+
+// Regression: a hosted reader is in no class table, yet reads below a
+// bound derived from its I(t); the collection must not prune past it.
+TEST_F(HddControllerTest, HostedReaderBegunBeforeReleaseSurvivesGc) {
+  auto t1 = cc_->Begin({.txn_class = 0});
+  ASSERT_TRUE(cc_->Write(*t1, kEvent, 1).ok());
+  ASSERT_TRUE(cc_->Commit(*t1).ok());
+
+  auto reader = cc_->Begin({.read_only = true, .read_scope = {1, 0}});
+  ASSERT_TRUE(reader.ok());
+  EXPECT_LE(cc_->SafeGcHorizon(), reader->init_ts);
+  auto t2 = cc_->Begin({.txn_class = 0});
+  ASSERT_TRUE(cc_->Write(*t2, kEvent, 2).ok());
+  ASSERT_TRUE(cc_->Commit(*t2).ok());
+  ASSERT_TRUE(cc_->ReleaseNewWall().ok());
+  cc_->CollectGarbage();
+
+  auto value = cc_->Read(*reader, kEvent);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 1);
+  ASSERT_TRUE(cc_->Commit(*reader).ok());
+  // Finished, the reader no longer holds the horizon back.
+  EXPECT_GT(cc_->SafeGcHorizon(), reader->init_ts);
+  EXPECT_TRUE(CheckSerializability(cc_->recorder()).serializable);
+}
+
 TEST_F(HddControllerTest, RestructureMergesClasses) {
   // Ad-hoc pattern: write events AND inventory in one transaction.
   auto merged = cc_->Restructure({0, 1}, {});
@@ -254,6 +304,37 @@ TEST_F(HddControllerTest, RestructureMergesClasses) {
   ASSERT_TRUE(cc_->Write(*reorder, kOrder, 3).ok());
   ASSERT_TRUE(cc_->Commit(*reorder).ok());
 
+  EXPECT_TRUE(CheckSerializability(cc_->recorder()).serializable);
+}
+
+// A wall released before a Restructure stays the consistent cut it was.
+// Here its events bound stops below a long-running events transaction X,
+// while its inventory bound admits a post_inventory write that an earlier
+// events write must follow (the writer read events before it). Merging
+// events and inventory must not cut inventory at the events bound: that
+// would show the later write without the earlier one.
+TEST_F(HddControllerTest, WallSurvivesRestructureAsTheSameCut) {
+  auto t4 = cc_->Begin({.txn_class = 0});
+  ASSERT_TRUE(cc_->Write(*t4, kEvent, 4).ok());
+  auto x = cc_->Begin({.txn_class = 0});
+  auto t6 = cc_->Begin({.txn_class = 1});
+  auto before_t4 = cc_->Read(*t6, kEvent);  // bound I(t4): t6 precedes t4
+  ASSERT_TRUE(before_t4.ok());
+  EXPECT_EQ(*before_t4, 0);
+  ASSERT_TRUE(cc_->Write(*t6, kInventory, 6).ok());
+  ASSERT_TRUE(cc_->Commit(*t6).ok());
+  ASSERT_TRUE(cc_->Commit(*t4).ok());
+  ASSERT_TRUE(cc_->ReleaseNewWall().ok());  // events cut at I(x)
+  ASSERT_TRUE(cc_->Commit(*x).ok());
+  ASSERT_TRUE(cc_->Restructure({0, 1}, {}).ok());
+
+  auto reader = cc_->Begin({.read_only = true});
+  auto event = cc_->Read(*reader, kEvent);
+  auto inventory = cc_->Read(*reader, kInventory);
+  ASSERT_TRUE(event.ok() && inventory.ok());
+  EXPECT_EQ(*event, 4);
+  EXPECT_EQ(*inventory, 6);
+  ASSERT_TRUE(cc_->Commit(*reader).ok());
   EXPECT_TRUE(CheckSerializability(cc_->recorder()).serializable);
 }
 

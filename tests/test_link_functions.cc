@@ -243,5 +243,57 @@ TEST_F(LinkFunctionsTest, AMonotoneRandomized) {
   }
 }
 
+// A table source that counts its I^old queries (one per shard latch in
+// the controller).
+class CountingSource : public ActivityTableSource {
+ public:
+  explicit CountingSource(const std::vector<ClassActivityTable>* tables)
+      : inner_(tables) {}
+  Timestamp OldestActiveAt(ClassId c, Timestamp m) const override {
+    ++queries;
+    return inner_.OldestActiveAt(c, m);
+  }
+  Result<Timestamp> LatestEndAt(ClassId c, Timestamp m) const override {
+    return inner_.LatestEndAt(c, m);
+  }
+  mutable int queries = 0;
+
+ private:
+  VectorTableSource inner_;
+};
+
+// With a per-caller memo, A over one (i, m) queries each class's table at
+// most once across any sequence of targets, and returns exactly what an
+// unmemoised walk returns.
+TEST_F(LinkFunctionsTest, AMemoQueriesEachClassOnce) {
+  // Chain 5 -> 4 -> 3 -> 2 -> 1 -> 0 with a side branch 6 -> 2.
+  Digraph g(7);
+  for (NodeId v = 1; v <= 5; ++v) g.AddArc(v, v - 1);
+  g.AddArc(6, 2);
+  Build(g);
+  Rng rng(7);
+  Timestamp now = 1;
+  for (ClassId c = 0; c < 7; ++c) {
+    for (int e = 0; e < 4; ++e) {
+      const Timestamp init = ++now;
+      tables_[c].OnBegin(init);
+      // Distinct ends within a class; some straddle others' starts.
+      if (rng.NextBool(0.6)) tables_[c].OnFinish(init, init + 5 + e);
+    }
+  }
+  CountingSource counting(&tables_);
+  ActivityLinkEvaluator memoised(tst_.get(), &counting);
+  const Timestamp m = now + 20;
+  std::vector<Timestamp> memo(7, kTimestampInfinity);
+  for (ClassId j : {2, 4, 0, 3, 1, 0, 4}) {
+    auto with = memoised.A(5, j, m, memo.data());
+    auto without = eval_->A(5, j, m);
+    ASSERT_TRUE(with.ok() && without.ok());
+    EXPECT_EQ(*with, *without) << "target " << j;
+  }
+  EXPECT_EQ(counting.queries, 5);  // classes 4..0, once each
+  EXPECT_FALSE(memoised.A(5, 6, m, memo.data()).ok());  // not above 5
+}
+
 }  // namespace
 }  // namespace hdd

@@ -35,6 +35,17 @@ class ClientRetryTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
+  // Waits until the server admitted the filler request. The probe below
+  // must not race it to the one inflight slot: with the workers paused,
+  // an admitted probe is never answered.
+  void AwaitFillerAdmitted() {
+    Counter& admitted = metrics_.GetCounter("net_admitted");
+    for (int i = 0; i < 5000 && admitted.Value() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(admitted.Value(), 1u) << "the filler was never admitted";
+  }
+
   static RequestMsg Submit(std::uint64_t id, ClassId cls,
                            std::vector<WireOp> ops) {
     RequestMsg msg;
@@ -65,6 +76,7 @@ TEST_F(ClientRetryTest, RetriesThroughForcedShedUntilAdmitted) {
   ASSERT_TRUE(filler.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(
       filler.Send(Submit(1, 0, {{WireOp::Kind::kWrite, {0, 0}, 7}})).ok());
+  AwaitFillerAdmitted();
   // The filler is admitted (never answered while paused); everything else
   // bounces with kOverload. Poll with a plain client until the admission
   // decision is visible, then aim the retrying client at the wall.
@@ -119,6 +131,7 @@ TEST_F(ClientRetryTest, BudgetExhaustedReturnsLastOverload) {
   ASSERT_TRUE(filler.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(
       filler.Send(Submit(1, 0, {{WireOp::Kind::kWrite, {0, 0}, 7}})).ok());
+  AwaitFillerAdmitted();
   SyncClient probe;
   ASSERT_TRUE(probe.Connect("127.0.0.1", server_->port()).ok());
   for (int i = 0; i < 200; ++i) {

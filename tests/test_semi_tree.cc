@@ -150,6 +150,59 @@ TEST(TstAnalysisTest, UcpDisconnected) {
   EXPECT_FALSE(analysis->Ucp(0, 4).has_value());  // node 0 is isolated
 }
 
+// The allocation-free steps walk exactly the materialised critical path,
+// upward (NextOnCriticalPath) and downward (PrevOnCriticalPath), for every
+// ordered pair on random transitive semi-trees: a random forest with
+// random arc directions, plus random transitively induced shortcuts.
+TEST(TstAnalysisTest, CriticalStepsWalkCriticalPathOnRandomTsts) {
+  Rng rng(2718);
+  int walked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.NextInRange(1, 9));
+    Digraph g(n);
+    for (NodeId v = 1; v < n; ++v) {
+      if (rng.NextBool(0.15)) continue;  // start another tree
+      const NodeId u = static_cast<NodeId>(rng.NextBounded(v));
+      if (rng.NextBool(0.5)) {
+        g.AddArc(u, v);
+      } else {
+        g.AddArc(v, u);
+      }
+    }
+    const std::vector<std::vector<bool>> reach = TransitiveClosureMatrix(g);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId w = 0; w < n; ++w) {
+        if (reach[u][w] && rng.NextBool(0.3)) g.AddArc(u, w);
+      }
+    }
+    auto analysis = TstAnalysis::Create(g);
+    ASSERT_TRUE(analysis.ok()) << g.ToDot();
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 0; j < n; ++j) {
+        const auto path = analysis->CriticalPath(i, j);
+        if (i == j || !path.has_value()) continue;
+        std::vector<NodeId> up = {i};
+        for (NodeId u = i; u != j;) {
+          u = analysis->NextOnCriticalPath(u, j);
+          up.push_back(u);
+          ASSERT_LE(up.size(), path->size()) << i << "->" << j;
+        }
+        EXPECT_EQ(up, *path) << i << "->" << j << "\n" << g.ToDot();
+        std::vector<NodeId> down = {j};
+        for (NodeId v = j; v != i;) {
+          v = analysis->PrevOnCriticalPath(i, v);
+          down.push_back(v);
+          ASSERT_LE(down.size(), path->size()) << i << "->" << j;
+        }
+        EXPECT_EQ(std::vector<NodeId>(down.rbegin(), down.rend()), *path)
+            << i << "->" << j << "\n" << g.ToDot();
+        ++walked;
+      }
+    }
+  }
+  EXPECT_GT(walked, 500);  // the generator produced long enough paths
+}
+
 // Brute-force cross-check of the semi-tree definition: "at most one
 // undirected path between any pair of nodes". Enumerates all undirected
 // simple paths on small random digraphs and compares with IsSemiTree.

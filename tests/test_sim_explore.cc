@@ -15,8 +15,13 @@
 // (violating Theorem 1), and the sweep MUST catch that with a replayable
 // seed — a harness that cannot see the mutation is broken.
 //
+// A second canary, `mutation_a_memo_ignores_target`, serves every
+// Protocol A read of a transaction at the first bound its per-transaction
+// memo holds, whatever the target class; it must be caught the same way.
+//
 // Environment knobs (also used by ci/check.sh):
 //   HDD_SIM_SEEDS           number of seeds in the big HDD sweep (default 2000)
+//   HDD_SIM_MEMO_CANARY_SEEDS  seeds in the memo canary sweep (default 300)
 //   HDD_SIM_FIRST_SEED      first seed of every sweep (default 1)
 //   HDD_SIM_REDECOMP_SEEDS  seeds in the online re-decomposition drift
 //                           sweep (default 500; the crash/epoch/canary
@@ -284,6 +289,37 @@ TEST(SimExplore, CanaryMutationIsCaught) {
       << "seed " << first.seed << " failed but did not replay";
   // The replayable repro is the artifact the harness promises.
   std::cout << "canary caught at seed " << first.seed << ": "
+            << first.message << "\n  replay: " << first.replay_command
+            << std::endl;
+}
+
+// The memo canary: with every Protocol A read of a transaction served at
+// the first bound it memoised (a stale memo entry reused for another
+// target class), the sweep must catch a violation that replays
+// byte-for-byte. Depth 3, so a transaction's reads reach two classes whose
+// bounds differ.
+TEST(SimExplore, MemoCanaryMutationIsCaught) {
+  HddControllerOptions copts;
+  copts.mutation_a_memo_ignores_target = true;
+
+  WorkloadShape shape = HddShape();
+  shape.params.depth = 3;
+  shape.params.granules_per_segment = 2;  // maximize cross-segment conflict
+  shape.params.read_only_fraction = 0.2;
+  shape.txns = 12;
+
+  SimScheduler::Options base;  // no faults: scheduling alone must expose it
+  const SeedSweepReport report = RunSeedSweep(
+      base, FirstSeed(), EnvOr("HDD_SIM_MEMO_CANARY_SEEDS", 300),
+      HddWorkload(shape, copts), "ctest -R test_sim_explore");
+  ASSERT_FALSE(report.failures.empty())
+      << "the stale-memo mutation survived " << report.runs
+      << " seeds — the harness cannot detect a bound served for the "
+         "wrong target class";
+  const SimFailure& first = report.failures.front();
+  EXPECT_TRUE(first.replayed_identically)
+      << "seed " << first.seed << " failed but did not replay";
+  std::cout << "memo canary caught at seed " << first.seed << ": "
             << first.message << "\n  replay: " << first.replay_command
             << std::endl;
 }
