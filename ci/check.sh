@@ -47,6 +47,11 @@ REDECOMP_SEEDS="${HDD_SIM_REDECOMP_SEEDS:-500}"
 # Per-transaction bound memo canary (SimExplore.MemoCanaryMutationIsCaught:
 # a stale memo entry served for another target class must be caught).
 MEMO_CANARY_SEEDS="${HDD_SIM_MEMO_CANARY_SEEDS:-300}"
+# §7.3 garbage collection inside the model checker (SimExplore.Gc*): a wall
+# release and a collection every 2 programs, and the canary that skips the
+# GC horizon's I^old closure (it must be caught).
+GC_SEEDS="${HDD_SIM_GC_SEEDS:-500}"
+GC_CANARY_SEEDS="${HDD_SIM_GC_CANARY_SEEDS:-300}"
 # Distributed sweeps (tests/test_dist_sim.cc): message-fault, cluster
 # crash, stale-bound canary. Shrunk under the sanitizers below.
 DIST_SEEDS="${HDD_SIM_DIST_SEEDS:-500}"
@@ -134,6 +139,7 @@ if want sim; then
   (cd build && HDD_SIM_SEEDS="$SIM_SEEDS" \
     HDD_SIM_REDECOMP_SEEDS="$REDECOMP_SEEDS" \
     HDD_SIM_MEMO_CANARY_SEEDS="$MEMO_CANARY_SEEDS" \
+    HDD_SIM_GC_SEEDS="$GC_SEEDS" HDD_SIM_GC_CANARY_SEEDS="$GC_CANARY_SEEDS" \
     ctest --output-on-failure -L sim)
 fi
 
@@ -176,6 +182,7 @@ if want asan && [[ "${HDD_SKIP_ASAN:-0}" != 1 ]]; then
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     HDD_SIM_SEEDS="$SIM_SEEDS_ASAN" HDD_SIM_CANARY_SEEDS=50 \
     HDD_SIM_MEMO_CANARY_SEEDS=50 \
+    HDD_SIM_GC_SEEDS="$GC_SEEDS" HDD_SIM_GC_CANARY_SEEDS=50 \
     HDD_SIM_CRASH_SEEDS=200 HDD_SIM_CRASH_PERCOMMIT_SEEDS=50 \
     HDD_SIM_WAL_CANARY_SEEDS=50 HDD_SIM_EPOCH_SEEDS=200 \
     HDD_SIM_EPOCH_CANARY_SEEDS=50 HDD_SIM_EPOCH_CRASH_SEEDS=100 \
@@ -197,6 +204,7 @@ if want tsan && [[ "${HDD_SKIP_TSAN:-0}" != 1 ]]; then
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
     HDD_SIM_SEEDS="$SIM_SEEDS_TSAN" HDD_SIM_CANARY_SEEDS=50 \
     HDD_SIM_MEMO_CANARY_SEEDS=50 \
+    HDD_SIM_GC_SEEDS="$GC_SEEDS" HDD_SIM_GC_CANARY_SEEDS=50 \
     HDD_SIM_CRASH_SEEDS=200 HDD_SIM_CRASH_PERCOMMIT_SEEDS=50 \
     HDD_SIM_WAL_CANARY_SEEDS=50 HDD_SIM_EPOCH_SEEDS=100 \
     HDD_SIM_EPOCH_CANARY_SEEDS=50 HDD_SIM_EPOCH_CRASH_SEEDS=100 \

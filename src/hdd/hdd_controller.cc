@@ -9,6 +9,7 @@
 #include "graph/algorithms.h"
 #include "obs/trace.h"
 #include "graph/decomposition.h"
+#include "hdd/shard_latch.h"
 #include "wal/checkpoint.h"
 #include "wal/log_format.h"
 #include "wal/wal_manager.h"
@@ -48,13 +49,24 @@ struct CachedTxnLookup {
 };
 thread_local CachedTxnLookup t_txn_lookup;
 
+// The loud failure of a read that finds no version below its bound —
+// possible only if garbage collection pruned past a live reader.
+Status VersionPrunedError(const char* protocol, GranuleRef granule,
+                          Timestamp bound) {
+  return Status::Internal(
+      std::string(protocol) + " read: no version of granule (" +
+      std::to_string(granule.segment) + "," +
+      std::to_string(granule.index) + ") below the served bound " +
+      std::to_string(bound) + ": garbage collection pruned past a live read");
+}
+
 }  // namespace
 
 Timestamp HddController::ShardTableSource::OldestActiveAt(ClassId c,
                                                           Timestamp m) const {
   SimYield("hdd/table_query");
   const std::shared_ptr<ClassShard>& shard = owner_->shards_[c];
-  std::lock_guard<std::mutex> lock(shard->mu);
+  const auto lock = LockShard(shard->mu);
   return shard->table.OldestActiveAt(m);
 }
 
@@ -62,7 +74,7 @@ Result<Timestamp> HddController::ShardTableSource::LatestEndAt(
     ClassId c, Timestamp m) const {
   SimYield("hdd/table_query");
   const std::shared_ptr<ClassShard>& shard = owner_->shards_[c];
-  std::lock_guard<std::mutex> lock(shard->mu);
+  const auto lock = LockShard(shard->mu);
   return shard->table.LatestEndAt(m);
 }
 
@@ -221,7 +233,7 @@ Result<TxnDescriptor> HddController::Begin(const TxnOptions& options) {
             "HDD update transactions must declare their class");
       }
       std::shared_ptr<ClassShard> shard = shards_[options.txn_class];
-      std::unique_lock<std::mutex> shard_lock(shard->mu);
+      std::unique_lock<std::mutex> shard_lock = LockShard(shard->mu);
       if (shard->draining) {
         // A Restructure is quiescing this class; park on the shard (not
         // the structure gate!) until it reopens, then re-resolve the
@@ -359,7 +371,7 @@ Result<std::vector<TxnDescriptor>> HddController::BeginBatch(
     if (members.empty()) continue;
     SimYield("hdd/begin_epoch/admit", /*interruptible=*/false);
     std::shared_ptr<ClassShard> shard = shards_[c];
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
+    std::unique_lock<std::mutex> shard_lock = LockShard(shard->mu);
     if (shard->draining) {
       // A Restructure is quiescing this class. Epochs and Restructure are
       // not supported concurrently (see header); surface a retryable
@@ -677,10 +689,13 @@ Result<Value> HddController::ReadHigherSegment(TxnRuntime* runtime,
   // the shard vector cannot be swapped out from under us, and this path
   // never waits on the shard (Protocol A reads are non-blocking).
   ClassShard* shard = shards_[target_class].get();
-  std::lock_guard<std::mutex> shard_lock(shard->mu);
+  const auto shard_lock = LockShard(shard->mu);
   Granule& g = db_->granule(granule);
   const Version* version = g.LatestCommittedBefore(served);
-  assert(version != nullptr);
+  assert(version != nullptr || options_.mutation_gc_skips_closure);
+  if (version == nullptr) {
+    return VersionPrunedError("Protocol A", granule, served);
+  }
   // Theorem-backed invariant: every version below the activity link bound
   // was created by a transaction that already finished, hence the latest
   // *committed* version below the bound is the latest version, period.
@@ -723,10 +738,13 @@ Result<Value> HddController::ReadHosted(TxnRuntime* runtime,
   // Same as Protocol A above: gate held shared, no waiting — a raw
   // pointer to the shard is safe and skips two refcount updates.
   ClassShard* shard = shards_[target_class].get();
-  std::lock_guard<std::mutex> shard_lock(shard->mu);
+  const auto shard_lock = LockShard(shard->mu);
   Granule& g = db_->granule(granule);
   const Version* version = g.LatestCommittedBefore(*bound);
-  assert(version != nullptr);
+  assert(version != nullptr || options_.mutation_gc_skips_closure);
+  if (version == nullptr) {
+    return VersionPrunedError("hosted", granule, *bound);
+  }
   assert(g.VersionBefore(*bound) != nullptr &&
          g.VersionBefore(*bound)->wts == version->wts);
   ++runtime->n_unregistered_reads;
@@ -753,7 +771,7 @@ Result<Value> HddController::ReadOwnSegment(
     // only swapped under the exclusive gate. The wait branch below takes
     // a keep-alive reference before releasing the gate.
     ClassShard* shard = shards_[txn.txn_class].get();
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
+    std::unique_lock<std::mutex> shard_lock = LockShard(shard->mu);
     Granule& g = db_->granule(granule);
     Version* version = nullptr;
     if (options_.protocol_b == ProtocolBEngine::kMvto) {
@@ -818,10 +836,13 @@ Result<Value> HddController::ReadUnderWall(
     const ClassId target_class = class_of_segment_[granule.segment];
     const Timestamp bound = wall->segment_bound[granule.segment];
     ClassShard* shard = shards_[target_class].get();
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
+    std::unique_lock<std::mutex> shard_lock = LockShard(shard->mu);
     Granule& g = db_->granule(granule);
     Version* version = g.VersionBefore(bound);
-    assert(version != nullptr);
+    assert(version != nullptr || options_.mutation_gc_skips_closure);
+    if (version == nullptr) {
+      return VersionPrunedError("Protocol C", granule, bound);
+    }
     if (!version->committed) {
       // A below-wall version is still in flight (possible only for classes
       // the wall reaches through a descending run); its fate decides what
@@ -857,20 +878,40 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
   // Covers every retry: the span's duration is the full time-to-release,
   // including waits for straggling C^late components.
   HDD_TRACE_SPAN("hdd", "wall_compute");
-  Timestamp m = clock_->Tick();
-  // While an epoch is open, anchor the wall at or below the epoch anchor
-  // m_e instead of the current clock. Batch transactions initiate above
-  // m_e but may sit in the executor's ready queue unexecuted, so a wall
-  // anchored above them would wait for finish events that no free worker
-  // can produce (a guaranteed wedge at one worker). At or below m_e the
-  // batch neither straddles any stabbed time nor unsettles a component,
-  // so the computation never waits on the epoch itself. Protocol C is
-  // indifferent to the anchor's age — any released wall is a consistent
-  // cut (time travel reads strictly older walls on purpose).
+  // Tick the anchor and register it in ONE wall-mutex critical section;
+  // it stays registered until the computation ends (the published wall
+  // is covered from then on). A collection computes its horizon under
+  // the same mutex, so it either closes over this anchor or ran before
+  // the tick — and then every component of a wall anchored above its
+  // clock lies at or above its closed horizon. Without the registration a
+  // computation that waits for finish events across a collection
+  // publishes a wall whose versions are already pruned.
+  Timestamp m;
   {
+    std::lock_guard<std::mutex> wg(wall_mu_);
+    m = clock_->Tick();
+    // While an epoch is open, anchor the wall at or below the epoch
+    // anchor m_e instead of the current clock. Batch transactions initiate
+    // above m_e but may sit in the executor's ready queue unexecuted, so a
+    // wall anchored above them would wait for finish events that no free
+    // worker can produce (a guaranteed wedge at one worker). At or below
+    // m_e the batch neither straddles any stabbed time nor unsettles a
+    // component, so the computation never waits on the epoch itself.
+    // Protocol C is indifferent to the anchor's age — any released wall
+    // is a consistent cut (time travel reads strictly older walls on
+    // purpose).
     std::lock_guard<std::mutex> epoch_guard(epoch_mu_);
     if (current_epoch_ != nullptr) m = std::min(m, current_epoch_->anchor);
+    wall_anchors_.insert(m);
   }
+  struct AnchorGuard {
+    HddController* cc;
+    Timestamp m;
+    ~AnchorGuard() {
+      std::lock_guard<std::mutex> wg(cc->wall_mu_);
+      cc->wall_anchors_.erase(cc->wall_anchors_.find(m));
+    }
+  } anchor_guard{this, m};
   for (;;) {
     SimYield("hdd/wall_compute");
     // Load the finish counter BEFORE attempting: a finish landing during
@@ -895,7 +936,7 @@ Result<const TimeWall*> HddController::ReleaseWallInternal(
       // the check and publication.
       bool settled = true;
       for (ClassId c = 0; c < num_classes_ && settled; ++c) {
-        std::lock_guard<std::mutex> shard_lock(shards_[c]->mu);
+        const auto shard_lock = LockShard(shards_[c]->mu);
         settled = shards_[c]->table.OldestActiveNow() >= wall->bound[c];
       }
       if (settled) {
@@ -957,7 +998,7 @@ Status HddController::Write(const TxnDescriptor& txn, GranuleRef granule,
     }
     const Timestamp ts = runtime->descriptor.init_ts;
     ClassShard* shard = shards_[own_class].get();
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
+    std::unique_lock<std::mutex> shard_lock = LockShard(shard->mu);
     Granule& g = db_->granule(granule);
     Version* own = g.Find(ts);
     if (own != nullptr) {
@@ -1074,7 +1115,7 @@ Status HddController::Commit(const TxnDescriptor& txn) {
     SimYield("hdd/commit/install", /*interruptible=*/false);
     Status logged = Status::OK();
     {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
+      const auto shard_lock = LockShard(shard->mu);
       for (GranuleRef granule : runtime->writes) {
         Version* version =
             db_->granule(granule).Find(runtime->descriptor.init_ts);
@@ -1143,7 +1184,7 @@ Status HddController::Abort(const TxnDescriptor& txn) {
     ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
     SimYield("hdd/abort/undo", /*interruptible=*/false);
     {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
+      const auto shard_lock = LockShard(shard->mu);
       std::vector<SegmentId> undone_segments;
       for (GranuleRef granule : runtime->writes) {
         Status removed =
@@ -1252,7 +1293,7 @@ Result<ClassId> HddController::Restructure(
     for (int label : plan.labels) ++group_size[label];
     for (ClassId c = 0; c < num_classes_; ++c) {
       if (group_size[plan.labels[c]] > 1) {
-        std::lock_guard<std::mutex> shard_lock(shards_[c]->mu);
+        const auto shard_lock = LockShard(shards_[c]->mu);
         shards_[c]->draining = true;
         affected.push_back(shards_[c]);
       }
@@ -1265,7 +1306,7 @@ Result<ClassId> HddController::Restructure(
   // finishing (each finish notifies its own shard's cv).
   HDD_TRACE_SPAN("hdd", "restructure_quiesce");
   for (const std::shared_ptr<ClassShard>& shard : affected) {
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
+    std::unique_lock<std::mutex> shard_lock = LockShard(shard->mu);
     while (shard->table.num_active() != 0) {
       SimWait(shard->cv, shard_lock, shard.get());
     }
@@ -1347,7 +1388,7 @@ Result<ClassId> HddController::Restructure(
   // class through the structure gate and land on the merged shard.
   for (const std::shared_ptr<ClassShard>& shard : affected) {
     {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
+      const auto shard_lock = LockShard(shard->mu);
       shard->draining = false;
     }
     SimNotifyAll(shard->cv, shard.get());
@@ -1370,7 +1411,7 @@ Timestamp HddController::SafeGcHorizon() const {
 Timestamp HddController::ComputeSafeGcHorizon() const {
   Timestamp horizon = clock_->Now() + 1;
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     horizon = std::min(horizon, shard->table.OldestActiveNow());
   }
   {
@@ -1386,9 +1427,14 @@ Timestamp HddController::ComputeSafeGcHorizon() const {
   }
   // A hosted reader is in no class table, yet reads at A_host^k applied to
   // I^old_host(I(t)): seed the fixpoint with the oldest one's I(t) so the
-  // closure below covers every such bound too.
+  // closure below covers every such bound too. A wall still being computed
+  // is anchored at m and its components derive from m the same way: seed
+  // with the oldest anchor in flight.
   if (!hosted_inits_.empty()) {
     horizon = std::min(horizon, *hosted_inits_.begin());
+  }
+  if (!wall_anchors_.empty()) {
+    horizon = std::min(horizon, *wall_anchors_.begin());
   }
   // Close the horizon under I^old. A Protocol A (or hosted) read serves
   // at a composition of I^old values, and the transaction an I^old named
@@ -1401,9 +1447,10 @@ Timestamp HddController::ComputeSafeGcHorizon() const {
   // iteration only ever descends, through the finite set of initiation
   // times, so it terminates.
   for (;;) {
+    if (options_.mutation_gc_skips_closure) break;
     Timestamp closed = horizon;
     for (const std::shared_ptr<ClassShard>& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
+      const auto shard_lock = LockShard(shard->mu);
       closed = std::min(closed, shard->table.OldestActiveAt(horizon));
     }
     if (closed == horizon) break;
@@ -1440,7 +1487,7 @@ std::size_t HddController::CollectGarbage() {
   for (SegmentId s = 0; s < static_cast<int>(class_of_segment_.size());
        ++s) {
     std::shared_ptr<ClassShard> shard = shards_[class_of_segment_[s]];
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     removed += db_->CollectGarbageSegment(s, horizon);
   }
   return removed;
@@ -1450,7 +1497,7 @@ std::size_t HddController::ActivityHistorySize() const {
   std::shared_lock<StructureGate> gate(struct_mu_);
   std::size_t total = 0;
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     total += shard->table.history_size();
   }
   return total;
@@ -1480,7 +1527,7 @@ Status HddController::CheckpointWal() {
     // — every log record at or below the LSN is reflected in the chains,
     // every one above is not.
     std::shared_ptr<ClassShard> shard = shards_[class_of_segment_[s]];
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     ckpts[static_cast<std::size_t>(s)].chains =
         EncodeSegmentChains(db_->segment(s));
     ckpts[static_cast<std::size_t>(s)].log_end_lsn = wal_->LogEndLsn(s);
@@ -1520,7 +1567,7 @@ std::string HddController::ExportControlStateLocked() const {
   PutU32(&out, static_cast<std::uint32_t>(num_classes_));
   for (ClassId c = 0; c < num_classes_; ++c) {
     const std::shared_ptr<ClassShard>& shard = shards_[c];
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     PutU32(&out,
            static_cast<std::uint32_t>(shard->table.finished().size()));
     for (const auto& [init, end] : shard->table.finished()) {
@@ -1562,7 +1609,7 @@ Status HddController::RestoreControlState(const std::string& blob) {
       return Status::Corruption("control state: truncated history");
     }
     const std::shared_ptr<ClassShard>& shard = shards_[c];
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     for (std::uint32_t i = 0; i < count; ++i) {
       std::uint64_t init = 0, end = 0;
       if (!GetU64(&in, &init) || !GetU64(&in, &end)) {
@@ -1620,7 +1667,7 @@ void HddController::MaybeTrimHistory() {
   if (active_txns_.load() != 0) return;
   if (wall_computing_.load() != 0) return;
   for (const std::shared_ptr<ClassShard>& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     shard->table.TrimFinishedBefore(now);
   }
 }
@@ -1640,7 +1687,7 @@ Result<ActivitySlice> HddController::ExportActivitySlice(ClassId c,
   slice.class_id = c;
   slice.frontier = frontier;
   ClassShard* shard = shards_[c].get();
-  std::lock_guard<std::mutex> shard_lock(shard->mu);
+  const auto shard_lock = LockShard(shard->mu);
   // Only initiations below the frontier can affect I^old(v) for
   // v <= frontier; transactions begun after the frontier tick are
   // invisible to every evaluation the slice is valid for.
@@ -1660,7 +1707,7 @@ Result<std::vector<Version>> HddController::ExportVersions(
   const GranuleRef ref{segment, granule};
   HDD_RETURN_IF_ERROR(db_->Validate(ref));
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
-  std::lock_guard<std::mutex> shard_lock(shard->mu);
+  const auto shard_lock = LockShard(shard->mu);
   std::vector<Version> committed;
   for (const Version& v : db_->granule(ref).versions()) {
     if (v.committed) committed.push_back(v);
@@ -1702,7 +1749,7 @@ Status HddController::PrepareExternal(
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
   std::uint64_t prepare_ticket = 0;
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     for (const auto& [index, value] : writes) {
       const GranuleRef ref{segment, index};
       HDD_RETURN_IF_ERROR(db_->Validate(ref));
@@ -1768,7 +1815,7 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
   std::uint64_t commit_ticket = 0;
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     Segment& seg = db_->segment(segment);
     for (std::uint32_t i = 0; i < seg.size(); ++i) {
       Version* v = seg.granule(i).Find(init_ts);
@@ -1799,7 +1846,7 @@ Status HddController::AbortExternal(SegmentId segment, TxnId txn,
   }
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     Segment& seg = db_->segment(segment);
     for (std::uint32_t i = 0; i < seg.size(); ++i) {
       Granule& g = seg.granule(i);
@@ -1842,7 +1889,7 @@ Status HddController::CommitDurablePhase(const TxnDescriptor& txn) {
   std::uint64_t commit_ticket = 0;
   Status logged = Status::OK();
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     for (GranuleRef granule : runtime->writes) {
       Version* version =
           db_->granule(granule).Find(runtime->descriptor.init_ts);
@@ -1886,7 +1933,7 @@ Status HddController::FinishDistributedCommit(const TxnDescriptor& txn) {
   FlushOpMetrics(*runtime);
   ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto shard_lock = LockShard(shard->mu);
     shard->table.OnFinish(runtime->descriptor.init_ts, clock_->Tick());
   }
   SimNotifyAll(shard->cv, shard);

@@ -60,6 +60,14 @@ struct HddControllerOptions {
   /// bound afterwards. The sim oracle's bound replay must catch this.
   bool mutation_a_memo_ignores_target = false;
 
+  /// TEST-ONLY mutation switch, the canary of §7.3 garbage collection:
+  /// when set, the safe GC horizon skips its I^old closure fixpoint and
+  /// stops at the oldest active initiation time. A Protocol A read whose
+  /// bound names a transaction that finished before the collection can
+  /// then find its version pruned; the read fails with kInternal, which
+  /// the sim GC sweep must catch.
+  bool mutation_gc_skips_closure = false;
+
   /// When set, the controller publishes one footprint (the packed
   /// granule read/write sets) per COMMITTED transaction — the trace feed
   /// of workload-driven automatic decomposition (graph/auto_decompose.h,
@@ -119,7 +127,15 @@ struct ActivitySlice {
 ///
 ///  * One `ClassShard` per class holds the class's activity table and a
 ///    latch guarding it *and* the version chains of every segment the
-///    class owns. Protocol B work touches exactly one shard.
+///    class owns. Protocol B work touches exactly one shard. Every shard
+///    acquisition goes through `LockShard` (hdd/shard_latch.h): a short
+///    bounded `try_lock` spin, then a park — critical sections last about
+///    a microsecond, a kernel wake-up tens of microseconds.
+///  * The segment latch (`Segment::latch`) is off the operation path:
+///    `Database::Validate` reads the granule count latch-free, and chains
+///    are guarded by the owning class's shard. Only segment allocation,
+///    whole-segment scans (TotalVersions, SaveDatabase) and the GC sweep
+///    take it.
 ///  * Protocol A reads evaluate the activity link bound by walking the
 ///    critical path and latching each class shard on it one at a time
 ///    (never two at once): I^old/C^late values at or below the clock are
@@ -141,10 +157,12 @@ struct ActivitySlice {
 ///    returns Busy while the other is in progress). No thread ever
 ///    sleeps on a condition variable while holding the gate.
 ///  * Released time walls, wall pin counts, the active hosted readers'
-///    initiation times and the GC horizon live under a dedicated wall
-///    mutex; a wall reader pins its wall in Begin, and a hosted reader
-///    registers there, so the GC horizon covers both from their first
-///    instant. The transaction registry is striped.
+///    initiation times, the anchors of wall computations in flight and
+///    the GC horizon live under a dedicated wall mutex; a wall reader pins
+///    its wall in Begin, a hosted reader registers there, and a wall
+///    computation registers its anchor with the tick, so the GC horizon
+///    covers each from its first instant. The transaction registry is
+///    striped.
 ///
 /// Latch order: structure gate (shared) -> { txn stripe | wall mutex ->
 /// class shard }. Data paths hold at most one class shard at a time;
@@ -235,7 +253,8 @@ class HddController : public ConcurrencyController {
   /// §7.3 garbage collection, safe to call concurrently with running
   /// transactions: fixes a safe horizon under the wall mutex, then prunes
   /// segment by segment under the owning class's shard latch — the same
-  /// latch every version-chain access in this controller takes.
+  /// latch every version-chain access in this controller takes. One-version
+  /// chains (the common case) are skipped without reading their buffer.
   /// Returns the number of versions removed.
   std::size_t CollectGarbage();
 
@@ -526,6 +545,9 @@ class HddController : public ConcurrencyController {
   /// no class table, yet read at bounds derived from I(t), so the GC
   /// horizon fixpoint is seeded with the oldest.
   std::set<Timestamp> hosted_inits_;
+  /// Anchors of wall computations in flight (released or abandoned ones
+  /// leave); seeds the GC horizon fixpoint like hosted_inits_.
+  std::multiset<Timestamp> wall_anchors_;
   Timestamp last_gc_horizon_ = kTimestampMin;
 
   std::array<TxnStripe, kTxnStripes> txn_stripes_;
@@ -551,8 +573,9 @@ class HddController : public ConcurrencyController {
   std::mutex restructure_mu_;
 
   /// Current epoch (nullptr between epochs). Leaf mutex: taken by
-  /// BeginEpoch/BeginBatch/EndEpoch and by the GC-horizon clamp; never
-  /// held across a wait or a shard latch. Readers on the data path reach
+  /// BeginEpoch/BeginBatch/EndEpoch, and under wall_mu_ by the GC-horizon
+  /// clamp and the wall-anchor tick; never held across a wait or a shard
+  /// latch. Readers on the data path reach
   /// the context through their TxnRuntime's shared_ptr instead.
   mutable std::mutex epoch_mu_;
   std::shared_ptr<EpochContext> current_epoch_;

@@ -4,15 +4,18 @@
 
 namespace hdd {
 
-std::uint32_t Segment::size() const {
-  std::lock_guard<std::mutex> guard(latch_);
-  return static_cast<std::uint32_t>(granules_.size());
+Segment::Segment(std::string name, std::uint32_t count, Value initial)
+    : name_(std::move(name)) {
+  for (std::uint32_t i = 0; i < count; ++i) granules_.emplace_back(initial);
+  size_.store(count, std::memory_order_release);
 }
 
 std::uint32_t Segment::Allocate(Value initial) {
   std::lock_guard<std::mutex> guard(latch_);
   granules_.emplace_back(initial);
-  return static_cast<std::uint32_t>(granules_.size()) - 1;
+  const auto count = static_cast<std::uint32_t>(granules_.size());
+  size_.store(count, std::memory_order_release);
+  return count - 1;
 }
 
 Granule& Segment::granule(std::uint32_t index) { return granules_[index]; }
@@ -25,10 +28,8 @@ Database::Database(std::vector<std::string> segment_names,
                    std::uint32_t granules_per_segment, Value initial) {
   segments_.reserve(segment_names.size());
   for (auto& name : segment_names) {
-    segments_.push_back(std::make_unique<Segment>(std::move(name)));
-    for (std::uint32_t i = 0; i < granules_per_segment; ++i) {
-      segments_.back()->Allocate(initial);
-    }
+    segments_.push_back(std::make_unique<Segment>(
+        std::move(name), granules_per_segment, initial));
   }
 }
 
@@ -36,10 +37,8 @@ Database::Database(int num_segments, std::uint32_t granules_per_segment,
                    Value initial) {
   segments_.reserve(num_segments);
   for (int s = 0; s < num_segments; ++s) {
-    segments_.push_back(std::make_unique<Segment>("D" + std::to_string(s)));
-    for (std::uint32_t i = 0; i < granules_per_segment; ++i) {
-      segments_.back()->Allocate(initial);
-    }
+    segments_.push_back(std::make_unique<Segment>(
+        "D" + std::to_string(s), granules_per_segment, initial));
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef HDD_STORAGE_DATABASE_H_
 #define HDD_STORAGE_DATABASE_H_
 
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -20,21 +21,28 @@ class WalManager;
 /// granules within that segment" (paper §4.2); the latch serializes
 /// version-chain manipulation, while the *ordering* decisions live in the
 /// concurrency controllers.
+///
+/// The granule count is published in an atomic, so `size()` — and with it
+/// Database::Validate on every operation — reads it without the latch.
 class Segment {
  public:
-  explicit Segment(std::string name) : name_(std::move(name)) {}
+  /// A segment pre-populated with `count` granules, each initialized with
+  /// `initial` (single-threaded construction: no latch round-trips).
+  Segment(std::string name, std::uint32_t count, Value initial);
 
   Segment(const Segment&) = delete;
   Segment& operator=(const Segment&) = delete;
 
   const std::string& name() const { return name_; }
 
-  /// Number of granules currently allocated.
-  std::uint32_t size() const;
+  /// Number of granules currently allocated. Latch-free: an index below
+  /// the returned count addresses a fully constructed granule.
+  std::uint32_t size() const { return size_.load(std::memory_order_acquire); }
 
   /// Appends a granule initialized with `initial`; returns its index.
   /// Models record insertion (the paper's type-1 transactions insert event
-  /// records): an insert is a write to a freshly allocated granule.
+  /// records): an insert is a write to a freshly allocated granule. Appends
+  /// under the latch, then publishes the new count (release).
   std::uint32_t Allocate(Value initial);
 
   Granule& granule(std::uint32_t index);
@@ -49,6 +57,8 @@ class Segment {
   mutable std::mutex latch_;
   // deque: stable addresses under Allocate.
   std::deque<Granule> granules_;
+  // granules_.size(), published after each append.
+  std::atomic<std::uint32_t> size_{0};
 };
 
 /// The whole multi-version database: a fixed set of segments created at
@@ -69,7 +79,7 @@ class Database {
   Segment& segment(SegmentId s) { return *segments_[s]; }
   const Segment& segment(SegmentId s) const { return *segments_[s]; }
 
-  /// Validates that `ref` addresses an existing granule.
+  /// Validates that `ref` addresses an existing granule. Takes no latch.
   Status Validate(GranuleRef ref) const;
 
   Granule& granule(GranuleRef ref) {

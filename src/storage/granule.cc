@@ -121,6 +121,9 @@ Status Granule::RestoreVersions(std::vector<Version> versions) {
 }
 
 std::size_t Granule::Prune(Timestamp horizon) {
+  // A lone version is its own snapshot base (or uncommitted, hence kept):
+  // nothing to drop, and no need to touch the chain's heap buffer.
+  if (versions_.size() <= 1) return 0;
   // Newest committed version strictly below the horizon is the snapshot
   // base every surviving reader could still need.
   const Version* base = LatestCommittedBefore(horizon);

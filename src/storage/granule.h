@@ -72,7 +72,8 @@ class Granule {
   /// committed version older (by wts) than the newest committed version
   /// with `wts < horizon` is dropped; that newest one is retained as the
   /// snapshot base. Uncommitted versions are always retained. Returns the
-  /// number of versions removed. (Paper §7.3.)
+  /// number of versions removed; a one-version chain returns 0 without
+  /// reading the chain. (Paper §7.3.)
   std::size_t Prune(Timestamp horizon);
 
  private:

@@ -27,7 +27,7 @@ Result<std::uint64_t> SegmentLog::Append(
   AppendFrame(&frame, EncodeWalRecord(record));
   HDD_RETURN_IF_ERROR(storage_->Append(*name_, frame));
   end_lsn_ += frame.size();
-  return end_lsn_;
+  return frame.size();
 }
 
 Status SegmentLog::Sync() {

@@ -35,7 +35,8 @@ class SegmentLog {
   /// section — file order therefore equals ticket order within this log,
   /// which is what lets recovery truncate everything past the ticket
   /// frontier as one suffix cut (see WalRecord::ticket). Returns the
-  /// record's end LSN and stores the assigned ticket in `*ticket_out`.
+  /// size of the appended frame in bytes (header plus encoded record) and
+  /// stores the assigned ticket in `*ticket_out`.
   Result<std::uint64_t> Append(WalRecord record,
                                std::atomic<std::uint64_t>* ticket_counter,
                                std::uint64_t* ticket_out);

@@ -41,13 +41,11 @@ Result<std::uint64_t> WalManager::AppendRecord(SegmentId segment,
   // reads its target under the same lock — covers the record's bytes.
   std::uint64_t ticket = 0;
   HDD_ASSIGN_OR_RETURN(
-      const std::uint64_t end,
+      const std::uint64_t frame_bytes,
       logs_[static_cast<std::size_t>(segment)].Append(record, &append_ticket_,
                                                       &ticket));
-  (void)end;
   metrics_.records_appended.Add(1);
-  metrics_.bytes_appended.Add(kFrameHeaderBytes +
-                              EncodeWalRecord(record).size());
+  metrics_.bytes_appended.Add(frame_bytes);
   return ticket;
 }
 

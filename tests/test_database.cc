@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <thread>
+
 namespace hdd {
 namespace {
 
@@ -27,6 +32,28 @@ TEST(DatabaseTest, ValidateRef) {
   EXPECT_FALSE(db.Validate({2, 0}).ok());
   EXPECT_FALSE(db.Validate({-1, 0}).ok());
   EXPECT_FALSE(db.Validate({0, 3}).ok());
+}
+
+// Validate runs on every Read/Write; it reads the published granule count
+// and must not queue behind a holder of the segment latch.
+TEST(DatabaseTest, ValidateTakesNoSegmentLatch) {
+  Database db(1, 4);
+  std::unique_lock<std::mutex> held(db.segment(0).latch());
+  std::atomic<int> verdict{-1};
+  std::thread validator([&] {
+    const bool ok = db.Validate({0, 3}).ok() && !db.Validate({0, 4}).ok();
+    verdict.store(ok ? 1 : 0);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (verdict.load() < 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int seen = verdict.load();
+  held.unlock();
+  validator.join();
+  EXPECT_EQ(seen, 1) << (seen < 0 ? "Validate blocked on the segment latch"
+                                  : "Validate answered wrongly");
 }
 
 TEST(DatabaseTest, AllocateExtendsSegment) {

@@ -158,6 +158,28 @@ TEST(GranulePruneTest, NoOpWithoutBase) {
   EXPECT_EQ(g.num_versions(), 2u);
 }
 
+// A one-version chain is its own snapshot base: Prune must keep it, at any
+// horizon, whether the version is committed or not.
+TEST(GranulePruneTest, SingleVersionChainIsLeftAlone) {
+  Granule fresh(5);
+  EXPECT_EQ(fresh.Prune(kTimestampInfinity), 0u);
+  ASSERT_EQ(fresh.num_versions(), 1u);
+  EXPECT_EQ(fresh.LatestCommitted()->value, 5);
+
+  Granule restored(0);
+  ASSERT_TRUE(
+      restored.RestoreVersions({MakeVersion(40, 40, 4, 44, true)}).ok());
+  EXPECT_EQ(restored.Prune(100), 0u);
+  ASSERT_EQ(restored.num_versions(), 1u);
+  EXPECT_EQ(restored.LatestCommittedBefore(100)->value, 44);
+
+  Granule pending(0);
+  ASSERT_TRUE(
+      pending.RestoreVersions({MakeVersion(50, 50, 5, 55, false)}).ok());
+  EXPECT_EQ(pending.Prune(kTimestampInfinity), 0u);
+  EXPECT_NE(pending.Find(50), nullptr);
+}
+
 TEST(GranulePruneTest, IdempotentAtSameHorizon) {
   Granule g(0);
   g.Insert(MakeVersion(10, 10, 1, 11, true));

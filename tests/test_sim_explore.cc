@@ -19,9 +19,16 @@
 // Protocol A read of a transaction at the first bound its per-transaction
 // memo holds, whatever the target class; it must be caught the same way.
 //
+// A third, `mutation_gc_skips_closure`, runs §7.3 garbage collection
+// inside the model checker with the horizon's I^old closure skipped; a
+// read finding its version pruned fails with kInternal, which the GC
+// sweep must catch the same way.
+//
 // Environment knobs (also used by ci/check.sh):
 //   HDD_SIM_SEEDS           number of seeds in the big HDD sweep (default 2000)
 //   HDD_SIM_MEMO_CANARY_SEEDS  seeds in the memo canary sweep (default 300)
+//   HDD_SIM_GC_SEEDS        seeds in the GC sweep (default 500)
+//   HDD_SIM_GC_CANARY_SEEDS seeds in the GC canary sweep (default 300)
 //   HDD_SIM_FIRST_SEED      first seed of every sweep (default 1)
 //   HDD_SIM_REDECOMP_SEEDS  seeds in the online re-decomposition drift
 //                           sweep (default 500; the crash/epoch/canary
@@ -114,6 +121,107 @@ SimWorkloadFn HddWorkload(WorkloadShape shape,
     options.sim = &sched;
     (void)RunWorkload(cc, workload, shape.txns, options);
     if (sched.halted()) return "";  // RunSimulation reports the finding
+    return CheckSimHistory(cc, *db, /*replay_bounds=*/true);
+  };
+}
+
+// Forwards a workload and remembers the first kInternal status any program
+// body returned: a read that found no version below its bound (garbage
+// collection pruned past a live reader) fails that way, and the executor
+// would otherwise just count the program as failed.
+class InternalErrorTap : public Workload {
+ public:
+  explicit InternalErrorTap(const Workload* inner) : inner_(inner) {}
+
+  TxnProgram Make(std::uint64_t index, Rng& rng) const override {
+    TxnProgram program = inner_->Make(index, rng);
+    program.body = [this, body = std::move(program.body)](
+                       ConcurrencyController& cc,
+                       const TxnDescriptor& txn) -> Status {
+      Status status = body(cc, txn);
+      if (status.code() == StatusCode::kInternal) {
+        std::lock_guard<std::mutex> guard(mu_);
+        if (first_.empty()) first_ = status.ToString();
+      }
+      return status;
+    };
+    return program;
+  }
+
+  std::string first() const {
+    std::lock_guard<std::mutex> guard(mu_);
+    return first_;
+  }
+
+ private:
+  const Workload* inner_;
+  mutable std::mutex mu_;
+  mutable std::string first_;
+};
+
+// HddWorkload plus §7.3 garbage collection: every `gc_every` finished
+// programs the finishing worker releases a fresh wall (so the horizon can
+// advance past the last one) and collects. Bound replay needs every
+// version a read was served, so each committed version is archived just
+// before a collection could prune it (no yield point lies between the
+// archive and the prune) and restored into the final chains before the
+// oracle runs. Any kInternal outcome fails the run.
+SimWorkloadFn HddGcWorkload(WorkloadShape shape, HddControllerOptions copts,
+                            std::uint64_t gc_every) {
+  return [shape, copts, gc_every](SimScheduler& sched) -> std::string {
+    SyntheticWorkload workload(shape.params);
+    auto schema = HierarchySchema::Create(workload.Spec());
+    if (!schema.ok()) return schema.status().ToString();
+    auto db = workload.MakeDatabase();
+    SimClock clock(&sched);
+    HddController cc(db.get(), &clock, &*schema, copts);
+    InternalErrorTap tapped(&workload);
+
+    std::vector<std::vector<Version>> archive;
+    const auto archive_committed = [&db, &archive] {
+      std::size_t slot = 0;
+      for (SegmentId s = 0; s < db->num_segments(); ++s) {
+        for (std::uint32_t i = 0; i < db->segment(s).size(); ++i, ++slot) {
+          if (archive.size() <= slot) archive.emplace_back();
+          for (const Version& v : db->granule({s, i}).versions()) {
+            if (v.committed) archive[slot].push_back(v);
+          }
+        }
+      }
+    };
+
+    ExecutorOptions options;
+    options.num_threads = shape.threads;
+    options.seed = 77;
+    options.max_retries = shape.max_retries;
+    options.sim = &sched;
+    options.on_txn_done = [&](std::uint64_t done) {
+      if (done % gc_every != 0) return;
+      // The wall computation yields at interruptible points; a fault
+      // injected there (outside any transaction attempt) just skips the
+      // release — the collection below still runs.
+      try {
+        (void)cc.ReleaseNewWall();
+      } catch (const SimFault&) {
+      }
+      archive_committed();
+      (void)cc.CollectGarbage();
+    };
+    (void)RunWorkload(cc, tapped, shape.txns, options);
+    if (sched.halted()) return "";
+    const std::string internal = tapped.first();
+    if (!internal.empty()) return "read failed: " + internal;
+
+    std::size_t slot = 0;
+    for (SegmentId s = 0; s < db->num_segments(); ++s) {
+      for (std::uint32_t i = 0; i < db->segment(s).size(); ++i, ++slot) {
+        if (slot >= archive.size()) continue;
+        Granule& g = db->granule({s, i});
+        for (const Version& v : archive[slot]) {
+          if (g.Find(v.order_key) == nullptr) (void)g.Insert(v);
+        }
+      }
+    }
     return CheckSimHistory(cc, *db, /*replay_bounds=*/true);
   };
 }
@@ -320,6 +428,48 @@ TEST(SimExplore, MemoCanaryMutationIsCaught) {
   EXPECT_TRUE(first.replayed_identically)
       << "seed " << first.seed << " failed but did not replay";
   std::cout << "memo canary caught at seed " << first.seed << ": "
+            << first.message << "\n  replay: " << first.replay_command
+            << std::endl;
+}
+
+// ---------------------------------------------------------------------------
+// §7.3 garbage collection under the model checker: a wall release and a
+// collection every 2 finished programs, racing the workers' reads at every
+// yield point. Every history must pass the oracle with bound replay, and
+// no read may find its version pruned.
+TEST(SimExplore, GcSeedSweepPassesOracle) {
+  SimScheduler::Options base;
+  base.faults = SweepFaults();
+  const std::uint64_t seeds = EnvOr("HDD_SIM_GC_SEEDS", 500);
+  const SeedSweepReport report = RunSeedSweep(
+      base, FirstSeed(), seeds, HddGcWorkload(HddShape(), {}, /*gc_every=*/2),
+      "ctest -R test_sim_explore");
+  ExpectSweepClean(report, "hdd+gc");
+  EXPECT_EQ(report.runs, seeds);
+  EXPECT_GT(report.faults_injected, 0u);
+}
+
+// The GC canary: with the horizon's I^old closure skipped, a Protocol A
+// read whose bound names a transaction that finished before the
+// collection finds its version pruned. The sweep must catch that with a
+// seed that replays byte-for-byte.
+TEST(SimExplore, GcCanaryMutationIsCaught) {
+  HddControllerOptions copts;
+  copts.mutation_gc_skips_closure = true;
+  SimScheduler::Options base;
+  base.faults = SweepFaults();
+  const SeedSweepReport report = RunSeedSweep(
+      base, FirstSeed(), EnvOr("HDD_SIM_GC_CANARY_SEEDS", 300),
+      HddGcWorkload(HddShape(), copts, /*gc_every=*/2),
+      "ctest -R test_sim_explore");
+  ASSERT_FALSE(report.failures.empty())
+      << "the GC-closure mutation survived " << report.runs
+      << " seeds — the harness cannot detect a version pruned under a "
+         "live read";
+  const SimFailure& first = report.failures.front();
+  EXPECT_TRUE(first.replayed_identically)
+      << "seed " << first.seed << " failed but did not replay";
+  std::cout << "gc canary caught at seed " << first.seed << ": "
             << first.message << "\n  replay: " << first.replay_command
             << std::endl;
 }

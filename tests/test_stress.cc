@@ -117,6 +117,7 @@ TEST(SegmentStressTest, ConcurrentAllocationIsConsistent) {
   Database db(1, 0, 0);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
+  constexpr std::uint32_t kTotal = kThreads * kPerThread;
   std::vector<std::vector<std::uint32_t>> indexes(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -126,7 +127,24 @@ TEST(SegmentStressTest, ConcurrentAllocationIsConsistent) {
       }
     });
   }
+  // A latch-free reader alongside the allocators: the published count only
+  // grows, and Validate agrees with it on both sides of the boundary.
+  std::atomic<bool> allocating{true};
+  std::atomic<int> reader_errors{0};
+  std::thread reader([&] {
+    std::uint32_t last = 0;
+    do {
+      const std::uint32_t n = db.segment(0).size();
+      if (n < last || n > kTotal) reader_errors.fetch_add(1);
+      if (n > 0 && !db.Validate({0, n - 1}).ok()) reader_errors.fetch_add(1);
+      if (db.Validate({0, kTotal}).ok()) reader_errors.fetch_add(1);
+      last = n;
+    } while (allocating.load());
+  });
   for (auto& t : threads) t.join();
+  allocating.store(false);
+  reader.join();
+  EXPECT_EQ(reader_errors.load(), 0);
   // All indexes distinct and dense.
   std::set<std::uint32_t> all;
   for (const auto& v : indexes) all.insert(v.begin(), v.end());

@@ -1,11 +1,14 @@
 // The reader-striped structure gate: an exclusive holder excludes readers
 // on every stripe, shared holders on different stripes coexist, and a
 // failed try_lock leaves no stripe held (what the cooperative spin of
-// HddController::Restructure under simulation relies on).
+// HddController::Restructure under simulation relies on). Also the
+// spin-then-park class-shard latch (LockShard): it must still exclude.
 
 #include "hdd/structure_gate.h"
 
 #include <gtest/gtest.h>
+
+#include "hdd/shard_latch.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -155,6 +158,29 @@ TEST(StructureGateTest, ExclusiveUpdatesAreAtomicToReaders) {
   EXPECT_FALSE(torn.load());
   EXPECT_EQ(a, 500);
   EXPECT_EQ(b, 500);
+}
+
+// LockShard spins on try_lock before parking; whichever way a thread gets
+// the latch, it must hold it alone. A plain (non-atomic) counter makes any
+// overlap a lost update and a TSan report.
+TEST(ShardLatchTest, LockShardExcludes) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 100000;
+  std::mutex mu;
+  long counter = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrements; ++i) {
+        const auto held = LockShard(mu);
+        ++counter;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(counter, static_cast<long>(kThreads) * kIncrements);
+  EXPECT_TRUE(mu.try_lock()) << "LockShard left the latch held";
+  mu.unlock();
 }
 
 }  // namespace
