@@ -46,7 +46,6 @@ struct BenchConfig {
   std::size_t pipeline = 4;
   int io_threads = 2;
   int workers = 4;
-  ServerOptions::Backend backend = ServerOptions::Backend::kPerTxn;
 };
 
 SyntheticWorkloadParams BenchParams() {
@@ -62,7 +61,6 @@ ServerOptions BenchServerOptions(const BenchConfig& config,
   options.num_io_threads = config.io_threads;
   options.num_workers = config.workers;
   options.num_classes = params.depth;
-  options.backend = config.backend;
   options.listen_backlog = 4096;
   options.admission.total_inflight_cap = 4096;
   return options;
@@ -292,19 +290,14 @@ int Run(int argc, char** argv) {
             << " requests, pipeline " << config.pipeline << " ===\n";
 
   int failures = 0;
-  for (auto [backend, name] :
-       {std::pair{ServerOptions::Backend::kPerTxn, "per_txn"},
-        std::pair{ServerOptions::Backend::kEpoch, "epoch"}}) {
-    config.backend = backend;
-    MetricsRegistry metrics;
-    std::optional<DriverStats> stats = RunForkedLoad(config, &metrics);
-    if (!stats.has_value() || stats->connected != config.conns ||
-        stats->errors != 0) {
-      std::cerr << name << ": load run failed\n";
-      ++failures;
-      continue;
-    }
-    AddLoadRow(report, name, config, *stats, metrics);
+  MetricsRegistry metrics;
+  std::optional<DriverStats> stats = RunForkedLoad(config, &metrics);
+  if (!stats.has_value() || stats->connected != config.conns ||
+      stats->errors != 0) {
+    std::cerr << "per_txn: load run failed\n";
+    ++failures;
+  } else {
+    AddLoadRow(report, "per_txn", config, *stats, metrics);
   }
 
   AddMessageModelRow(report);

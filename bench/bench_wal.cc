@@ -1,4 +1,4 @@
-// Durability cost of the per-segment WAL (src/wal/): committed-txn
+// Durability cost of the WAL (src/wal/): committed-txn
 // throughput of the HDD controller with no WAL at all, with logging but
 // fsync disabled (kNone — the pure record-marshalling overhead), with
 // leader/follower group commit (kGroupCommit — the intended production

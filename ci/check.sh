@@ -14,6 +14,10 @@
 #      schedules of the HDD workload under fault injection (seed count
 #      overridable via HDD_SIM_SEEDS; failing seeds print a replay
 #      command of the form HDD_SIM_FIRST_SEED=<seed> HDD_SIM_SEEDS=1 ...).
+#   3a. Crash stage: the WAL unit tiers, the kill -9 smoke test, the
+#      seeded process-crash sweep with its lost-ack canary, and the
+#      benchmark's own recovery gate (hddbench_tests, built from
+#      hddbench/ into build-hddbench/).
 #   3b. Dist stage: the sharded deployment (src/dist). Seeded sweeps of
 #      the N-node cluster under message faults, cluster crashes, and the
 #      stale-bound canary (HDD_SIM_DIST_* knobs), plus the socket smoke
@@ -167,6 +171,12 @@ if want crash; then
   # replayable seed. Knob: HDD_SIM_CRASH_SEEDS.
   (cd build && HDD_SIM_CRASH_SEEDS="$CRASH_SEEDS" \
     ./tests/test_sim_explore --gtest_filter='SimExplore.Wal*')
+  # The benchmark's own recovery gate (hddbench/tests): its
+  # OneDiscardedSyncedAppendFailsTheRecoveryComparison is the end-to-end
+  # check that a synced append the storage lost mid-log is still caught.
+  cmake -S hddbench -B build-hddbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-hddbench -j "$JOBS" --target hddbench_tests
+  ./build-hddbench/hddbench_tests
 fi
 
 if want asan && [[ "${HDD_SKIP_ASAN:-0}" != 1 ]]; then

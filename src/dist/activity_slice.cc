@@ -1,13 +1,8 @@
 #include "dist/activity_slice.h"
 
-#include "dist/codec.h"
+#include "common/byte_codec.h"
 
 namespace hdd {
-
-using distcodec::GetU32;
-using distcodec::GetU64;
-using distcodec::PutU32;
-using distcodec::PutU64;
 
 void EncodeActivitySlice(const ActivitySlice& slice, std::string* out) {
   PutU32(out, static_cast<std::uint32_t>(slice.class_id));

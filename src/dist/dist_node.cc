@@ -27,8 +27,8 @@ Result<std::string> DistNode::Handle(int from, const std::string& request) {
                            cc_->ExportVersions(req.segment, req.index));
       // Cross-node read barrier: a committed version is marked in memory
       // in the same latch window that appends its commit record, but the
-      // single-WAL ticket argument that makes local acked reads
-      // crash-proof does not span nodes. Syncing this node's WAL before
+      // one-log argument that makes local acked reads crash-proof does
+      // not span nodes. Syncing this node's WAL before
       // the snapshot leaves guarantees every shipped committed version
       // survives recovery — a requester's acked result never dangles.
       HDD_RETURN_IF_ERROR(cc_->AwaitWalReadStable());

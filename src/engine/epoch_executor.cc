@@ -201,7 +201,6 @@ ExecutorStats RunWorkloadEpochs(ConcurrencyController& cc,
     row.aborted_attempts += result.aborted_attempts;
     row.failed += result.failed ? 1 : 0;
     row.crashed += result.crashed ? 1 : 0;
-    if (options.on_program_done) options.on_program_done(slot->index, result);
     if (options.on_txn_done) options.on_txn_done(done.fetch_add(1) + 1);
   };
 

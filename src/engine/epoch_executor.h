@@ -31,10 +31,6 @@ struct EpochExecutorOptions {
   SimScheduler* sim = nullptr;
   /// Same contract as ExecutorOptions::on_txn_done.
   std::function<void(std::uint64_t)> on_txn_done;
-  /// Same contract as ExecutorOptions::on_program_done: stream index plus
-  /// terminal result, on the worker thread, possibly concurrently.
-  std::function<void(std::uint64_t index, const ProgramResult&)>
-      on_program_done;
   const WalMetrics* wal_metrics = nullptr;
   /// Same contract as ExecutorOptions::service. Note a Restructure issued
   /// from the service returns Busy while an epoch is open (the PR 5

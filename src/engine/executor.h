@@ -69,8 +69,7 @@ struct ExecutorOptions {
   std::function<void(const std::atomic<bool>& workers_done)> service;
   /// Called on the worker thread after each program reaches its terminal
   /// result, with the program's stream index. May run concurrently for
-  /// different programs; the callee synchronizes. The network server uses
-  /// it to turn completions into responses.
+  /// different programs; the callee synchronizes.
   std::function<void(std::uint64_t index, const ProgramResult&)>
       on_program_done;
 };

@@ -5,6 +5,7 @@
 #include <optional>
 #include <thread>
 
+#include "common/byte_codec.h"
 #include "common/sim_hook.h"
 #include "graph/algorithms.h"
 #include "obs/trace.h"
@@ -1056,10 +1057,10 @@ Status HddController::Write(const TxnDescriptor& txn, GranuleRef granule,
     version.committed = false;
     HDD_RETURN_IF_ERROR(g.Insert(version));
     if (wal_ != nullptr) {
-      // Same critical section as the install, so the segment log's record
-      // order equals the chain's effect order (recovery replays in log
-      // order). A failed append un-installs: the transaction holds no
-      // version it could not redo.
+      // Same critical section as the install, so the segment's records
+      // appear in the log in the chain's effect order (recovery replays
+      // in log order). A failed append un-installs: the transaction holds
+      // no version it could not redo.
       auto logged = wal_->LogWrite(granule.segment, txn.id, ts,
                                    granule.index, value);
       if (!logged.ok()) {
@@ -1089,25 +1090,11 @@ Status HddController::Commit(const TxnDescriptor& txn) {
   // transaction's reads are over, so its GC holds go now too.
   FlushOpMetrics(*runtime);
   ReleaseReadOnlyHolds(*runtime);
-  std::uint64_t commit_ticket = 0;
+  std::uint64_t commit_lsn = 0;
   if (!runtime->descriptor.read_only) {
     // Raw pointer: only used while the gate is held (shared), and this
     // path never sleeps on the shard.
     ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
-    // Distinct segments this transaction wrote (one — its root segment —
-    // unless a Restructure merged its class). Each gets a copy of the
-    // commit record carrying the full list; recovery commits only when
-    // every copy survived. Only the WAL consumes the list, so skip the
-    // allocation entirely when none is attached.
-    std::vector<SegmentId> written_segments;
-    if (wal_ != nullptr) {
-      for (GranuleRef granule : runtime->writes) {
-        if (std::find(written_segments.begin(), written_segments.end(),
-                      granule.segment) == written_segments.end()) {
-          written_segments.push_back(granule.segment);
-        }
-      }
-    }
     // Past the point of no return (the runtime is extracted), so this
     // site may stall — the injector's "delayed commit", which leaves the
     // uncommitted versions visible to waiting readers for a while — but
@@ -1122,21 +1109,19 @@ Status HddController::Commit(const TxnDescriptor& txn) {
         assert(version != nullptr);
         version->committed = true;
       }
-      if (wal_ != nullptr) {
-        // Commit records append in the SAME critical section that marks
-        // the versions committed: a Protocol B read served one of these
+      if (wal_ != nullptr && !runtime->writes.empty()) {
+        // The commit record appends in the SAME critical section that
+        // marks the versions committed: a read served one of these
         // versions therefore happens-after the append, so its own commit
-        // ticket is higher and any sync batch acking the reader covers
-        // this record too (the WaitDurable below never races it).
-        for (const SegmentId s : written_segments) {
-          auto ticket = wal_->LogCommit(s, runtime->descriptor.id,
-                                        runtime->descriptor.init_ts,
-                                        written_segments);
-          if (!ticket.ok()) {
-            logged = ticket.status();
-            break;
-          }
-          commit_ticket = *ticket;
+        // record lies later in the log and any sync batch acking the
+        // reader covers this record too (the WaitDurable below never
+        // races it).
+        auto lsn =
+            wal_->LogCommit(runtime->descriptor.id, runtime->descriptor.init_ts);
+        if (lsn.ok()) {
+          commit_lsn = *lsn;
+        } else {
+          logged = lsn.status();
         }
       }
       shard->table.OnFinish(runtime->descriptor.init_ts, clock_->Tick());
@@ -1149,15 +1134,15 @@ Status HddController::Commit(const TxnDescriptor& txn) {
     // rewind below this reader's wall bound) and ride the same group
     // commit the update transactions use — the read barrier that makes
     // acked query results crash-proof.
-    HDD_ASSIGN_OR_RETURN(commit_ticket, wal_->LogReadBound(clock_->Now()));
+    HDD_ASSIGN_OR_RETURN(commit_lsn, wal_->LogReadBound(clock_->Now()));
   }
-  if (wal_ != nullptr && commit_ticket != 0) {
+  if (wal_ != nullptr && commit_lsn != 0) {
     // The durability wait sleeps in the group-commit gate; release the
     // structure gate first (never sleep holding it) and drop no latches'
     // worth of state — everything below re-reads nothing structural.
     const bool had_gate = gate.owns_lock();
     if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(commit_ticket);
+    const Status durable = wal_->WaitDurable(commit_lsn);
     if (had_gate) gate.lock();
     HDD_RETURN_IF_ERROR(durable);
   }
@@ -1185,26 +1170,19 @@ Status HddController::Abort(const TxnDescriptor& txn) {
     SimYield("hdd/abort/undo", /*interruptible=*/false);
     {
       const auto shard_lock = LockShard(shard->mu);
-      std::vector<SegmentId> undone_segments;
       for (GranuleRef granule : runtime->writes) {
         Status removed =
             db_->granule(granule).Remove(runtime->descriptor.init_ts);
         assert(removed.ok());
         (void)removed;
-        if (std::find(undone_segments.begin(), undone_segments.end(),
-                      granule.segment) == undone_segments.end()) {
-          undone_segments.push_back(granule.segment);
-        }
       }
-      if (wal_ != nullptr) {
-        // Abort records are replay hygiene, not a durability promise: a
-        // lost copy just means recovery discards the uncommitted versions
-        // itself. Hence no sync and a best-effort append (an IoError here
-        // must not fail the abort — the in-memory undo already happened).
-        for (const SegmentId s : undone_segments) {
-          (void)wal_->LogAbort(s, runtime->descriptor.id,
-                               runtime->descriptor.init_ts);
-        }
+      if (wal_ != nullptr && !runtime->writes.empty()) {
+        // Abort records are replay hygiene, not a durability promise:
+        // recovery discards the uncommitted versions with or without one.
+        // Hence no sync and a best-effort append (an IoError here must
+        // not fail the abort — the in-memory undo already happened).
+        (void)wal_->LogAbort(runtime->descriptor.id,
+                             runtime->descriptor.init_ts);
       }
       shard->table.OnFinish(runtime->descriptor.init_ts, clock_->Tick());
     }
@@ -1524,16 +1502,16 @@ Status HddController::CheckpointWal() {
     SimYield("hdd/checkpoint", /*interruptible=*/false);
     // ONE critical section under the owning class's shard latch: the
     // chains snapshot and the log position are consistent by construction
-    // — every log record at or below the LSN is reflected in the chains,
-    // every one above is not.
+    // — every write of this segment logged below the LSN is reflected in
+    // the chains, every one above is not.
     std::shared_ptr<ClassShard> shard = shards_[class_of_segment_[s]];
     const auto shard_lock = LockShard(shard->mu);
     ckpts[static_cast<std::size_t>(s)].chains =
         EncodeSegmentChains(db_->segment(s));
-    ckpts[static_cast<std::size_t>(s)].log_end_lsn = wal_->LogEndLsn(s);
+    ckpts[static_cast<std::size_t>(s)].log_end_lsn = wal_->EndLsn();
   }
   const std::string control = ExportControlStateLocked();
-  // Harden every redo log BEFORE persisting any snapshot. A snapshot may
+  // Harden the redo log BEFORE persisting any snapshot. A snapshot may
   // contain commit marks whose records were only buffered when the chains
   // were captured; persisting it first would let a crash keep the (synced)
   // snapshot while losing the (unsynced) records it reflects — silently
@@ -1747,7 +1725,7 @@ Status HddController::PrepareExternal(
     return Status::InvalidArgument("no such segment");
   }
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
-  std::uint64_t prepare_ticket = 0;
+  std::uint64_t prepare_lsn = 0;
   {
     const auto shard_lock = LockShard(shard->mu);
     for (const auto& [index, value] : writes) {
@@ -1787,8 +1765,7 @@ Status HddController::PrepareExternal(
       }
     }
     if (wal_ != nullptr) {
-      HDD_ASSIGN_OR_RETURN(prepare_ticket,
-                           wal_->LogPrepare(segment, txn, init_ts));
+      HDD_ASSIGN_OR_RETURN(prepare_lsn, wal_->LogPrepare(txn, init_ts));
     }
   }
   if (wal_ != nullptr) {
@@ -1796,7 +1773,7 @@ Status HddController::PrepareExternal(
     // coordinator's commit decision assumes this node can redo them.
     const bool had_gate = gate.owns_lock();
     if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(prepare_ticket);
+    const Status durable = wal_->WaitDurable(prepare_lsn);
     if (had_gate) gate.lock();
     HDD_RETURN_IF_ERROR(durable);
   }
@@ -1813,7 +1790,7 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
     return Status::InvalidArgument("no such segment");
   }
   ClassShard* shard = shards_[class_of_segment_[segment]].get();
-  std::uint64_t commit_ticket = 0;
+  std::uint64_t commit_lsn = 0;
   {
     const auto shard_lock = LockShard(shard->mu);
     Segment& seg = db_->segment(segment);
@@ -1822,15 +1799,14 @@ Status HddController::CommitExternal(SegmentId segment, TxnId txn,
       if (v != nullptr && v->creator == txn) v->committed = true;
     }
     if (wal_ != nullptr) {
-      HDD_ASSIGN_OR_RETURN(commit_ticket,
-                           wal_->LogCommit(segment, txn, init_ts, {segment}));
+      HDD_ASSIGN_OR_RETURN(commit_lsn, wal_->LogCommit(txn, init_ts));
     }
   }
   SimNotifyAll(shard->cv, shard);
   if (wal_ != nullptr) {
     const bool had_gate = gate.owns_lock();
     if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(commit_ticket);
+    const Status durable = wal_->WaitDurable(commit_lsn);
     if (had_gate) gate.lock();
     HDD_RETURN_IF_ERROR(durable);
   }
@@ -1856,9 +1832,9 @@ Status HddController::AbortExternal(SegmentId segment, TxnId txn,
       }
     }
     if (wal_ != nullptr) {
-      // Replay hygiene like Abort's records: a lost copy just means
+      // Replay hygiene like Abort's record: a lost one just means
       // recovery discards the unresolved prepare itself.
-      (void)wal_->LogAbort(segment, txn, init_ts);
+      (void)wal_->LogAbort(txn, init_ts);
     }
   }
   SimNotifyAll(shard->cv, shard);
@@ -1879,14 +1855,7 @@ Status HddController::CommitDurablePhase(const TxnDescriptor& txn) {
         "distributed commit is for update transactions");
   }
   ClassShard* shard = shards_[runtime->descriptor.txn_class].get();
-  std::vector<SegmentId> written_segments;
-  for (GranuleRef granule : runtime->writes) {
-    if (std::find(written_segments.begin(), written_segments.end(),
-                  granule.segment) == written_segments.end()) {
-      written_segments.push_back(granule.segment);
-    }
-  }
-  std::uint64_t commit_ticket = 0;
+  std::uint64_t commit_lsn = 0;
   Status logged = Status::OK();
   {
     const auto shard_lock = LockShard(shard->mu);
@@ -1896,25 +1865,22 @@ Status HddController::CommitDurablePhase(const TxnDescriptor& txn) {
       assert(version != nullptr);
       version->committed = true;
     }
-    if (wal_ != nullptr) {
-      for (const SegmentId s : written_segments) {
-        auto ticket = wal_->LogCommit(s, runtime->descriptor.id,
-                                      runtime->descriptor.init_ts,
-                                      written_segments);
-        if (!ticket.ok()) {
-          logged = ticket.status();
-          break;
-        }
-        commit_ticket = *ticket;
+    if (wal_ != nullptr && !runtime->writes.empty()) {
+      auto lsn =
+          wal_->LogCommit(runtime->descriptor.id, runtime->descriptor.init_ts);
+      if (lsn.ok()) {
+        commit_lsn = *lsn;
+      } else {
+        logged = lsn.status();
       }
     }
   }
   SimNotifyAll(shard->cv, shard);
   HDD_RETURN_IF_ERROR(logged);
-  if (wal_ != nullptr && commit_ticket != 0) {
+  if (wal_ != nullptr && commit_lsn != 0) {
     const bool had_gate = gate.owns_lock();
     if (had_gate) gate.unlock();
-    const Status durable = wal_->WaitDurable(commit_ticket);
+    const Status durable = wal_->WaitDurable(commit_lsn);
     if (had_gate) gate.lock();
     HDD_RETURN_IF_ERROR(durable);
   }

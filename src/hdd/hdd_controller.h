@@ -312,7 +312,7 @@ class HddController : public ConcurrencyController {
   /// Blocks until every WAL record appended so far is durable — in
   /// particular the commit records of every committed version a
   /// concurrent ExportVersions returned. The snapshot handler runs this
-  /// before replying, extending the local acked-reads-are-durable ticket
+  /// before replying, extending the local acked-reads-are-durable
   /// argument across nodes. No-op without a WAL.
   Status AwaitWalReadStable();
 

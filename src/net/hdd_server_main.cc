@@ -2,7 +2,7 @@
 //
 //   hdd_server [--port=N] [--controller=hdd|2pl|mvto|...] [--depth=N]
 //              [--granules=N] [--io_threads=N] [--workers=N]
-//              [--backend=per_txn|epoch] [--inflight_cap=N]
+//              [--inflight_cap=N]
 //
 // Sharded deployment (one process per shard node, see src/dist/):
 //
@@ -152,9 +152,6 @@ int main(int argc, char** argv) {
   options.num_classes = params.depth;
   options.admission.total_inflight_cap =
       IntFlagOr(argc, argv, "--inflight_cap", 4096);
-  if (hdd::FlagValue(argc, argv, "--backend").value_or("per_txn") == "epoch") {
-    options.backend = hdd::ServerOptions::Backend::kEpoch;
-  }
 
   hdd::MetricsRegistry metrics;
   hdd::HddServer server(world->cc.get(), options, &metrics);

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <utility>
 
-#include "engine/epoch_executor.h"
 #include "engine/executor.h"
 
 namespace hdd {
@@ -26,20 +25,6 @@ constexpr std::uint64_t kListenData = ~std::uint64_t{0} - 1;
 // cannot starve the rest of an IO thread's event batch; level-triggered
 // epoll re-delivers whatever is left.
 constexpr int kMaxReadsPerEvent = 16;
-
-/// Replays a fixed vector of collected programs as a Workload, so a batch
-/// of admitted network requests can be driven through RunWorkloadEpochs.
-class VectorWorkload : public Workload {
- public:
-  explicit VectorWorkload(std::vector<TxnProgram> programs)
-      : programs_(std::move(programs)) {}
-  TxnProgram Make(std::uint64_t index, Rng&) const override {
-    return programs_[index];
-  }
-
- private:
-  std::vector<TxnProgram> programs_;
-};
 
 }  // namespace
 
@@ -75,11 +60,6 @@ HddServer::~HddServer() { Stop(); }
 
 Status HddServer::Start() {
   if (!loop_.ok()) return Status::IoError("epoll/eventfd setup failed");
-  if (options_.shard_execute &&
-      options_.backend == ServerOptions::Backend::kEpoch) {
-    return Status::InvalidArgument(
-        "shard_execute requires the per-txn backend");
-  }
   const int lfd =
       socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (lfd < 0) return Status::IoError("socket() failed");
@@ -112,12 +92,8 @@ Status HddServer::Start() {
   for (int i = 0; i < options_.num_io_threads; ++i) {
     io_threads_.emplace_back([this] { IoThread(); });
   }
-  if (options_.backend == ServerOptions::Backend::kEpoch) {
-    worker_threads_.emplace_back([this] { EpochBatcherThread(); });
-  } else {
-    for (int i = 0; i < options_.num_workers; ++i) {
-      worker_threads_.emplace_back([this] { WorkerThread(); });
-    }
+  for (int i = 0; i < options_.num_workers; ++i) {
+    worker_threads_.emplace_back([this] { WorkerThread(); });
   }
   return Status::OK();
 }
@@ -544,46 +520,6 @@ void HddServer::WorkerThread() {
       --executing_;
     }
     dispatch_cv_.notify_all();  // Stop() polls queued_/executing_
-  }
-}
-
-void HddServer::EpochBatcherThread() {
-  for (;;) {
-    std::vector<WorkItem> batch;
-    {
-      std::unique_lock<std::mutex> lock(dispatch_mu_);
-      dispatch_cv_.wait(lock, [this] { return queued_ > 0 || workers_stop_; });
-      if (queued_ == 0) {
-        if (workers_stop_) return;
-        continue;
-      }
-      while (batch.size() < options_.epoch_size && queued_ > 0) {
-        WorkItem item;
-        if (!PopItemLocked(&item)) break;
-        --queued_;
-        batch.push_back(std::move(item));
-      }
-      executing_ += batch.size();
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) m_queue_depth_->Sub();
-    std::vector<TxnProgram> programs;
-    programs.reserve(batch.size());
-    for (const WorkItem& item : batch) programs.push_back(item.program);
-    VectorWorkload workload(std::move(programs));
-    EpochExecutorOptions eo;
-    eo.num_threads = options_.num_workers;
-    eo.epoch_size = options_.epoch_size;
-    eo.max_retries = options_.max_retries;
-    eo.on_program_done = [this, &batch](std::uint64_t index,
-                                        const ProgramResult& result) {
-      FinishItem(batch[index], result);
-    };
-    RunWorkloadEpochs(*cc_, workload, batch.size(), eo);
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      executing_ -= batch.size();
-    }
-    dispatch_cv_.notify_all();
   }
 }
 

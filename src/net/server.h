@@ -35,15 +35,8 @@ struct ServerOptions {
   /// Threads executing admitted transaction programs.
   int num_workers = 4;
 
-  /// How admitted programs reach the engine. kPerTxn: each worker drives
-  /// RunProgram (the workload executor's core) per request. kEpoch:
-  /// admitted programs are collected into batches and driven through
-  /// RunWorkloadEpochs, so remote traffic gets the epoch executor's
-  /// dependency-graph ordering.
-  enum class Backend { kPerTxn, kEpoch };
-  Backend backend = Backend::kPerTxn;
-  /// kEpoch: max programs per collected batch.
-  std::uint64_t epoch_size = 64;
+  /// Each worker drives one admitted program at a time through RunProgram
+  /// (the workload executor's core), retrying aborts up to this many times.
   int max_retries = 10000;
 
   /// Number of update classes the server accepts (ids 0..num_classes-1);
@@ -76,17 +69,14 @@ struct ServerOptions {
   /// each admitted submit through this callback instead of the local
   /// engine. The binding bridges to dist/DistSession — routing remote
   /// Protocol A reads and two-phasing remotely-owned writes — while net/
-  /// stays independent of dist/. Per-txn backend only (Start refuses
-  /// kEpoch: batching across shards would need a distributed epoch
-  /// barrier that does not exist).
+  /// stays independent of dist/.
   std::function<ShardOutcome(const SubmitRequest&)> shard_execute;
 };
 
 /// The HDD network front end: a non-blocking epoll server speaking the
 /// length-prefixed CRC-framed protocol of net/frame.h + net/protocol.h,
 /// decoding submits into TxnPrograms and driving the existing engine
-/// (RunProgram / RunWorkloadEpochs) through a worker pool behind per-class
-/// admission control.
+/// (RunProgram) through a worker pool behind per-class admission control.
 ///
 /// Metrics (all through the MetricsRegistry passed in):
 ///   counters   net_accepted, net_closed, net_frames,
@@ -145,7 +135,6 @@ class HddServer {
 
   void IoThread();
   void WorkerThread();
-  void EpochBatcherThread();
 
   void HandleAccept();
   void HandleConnEvent(std::uint64_t id, std::uint32_t events);
@@ -164,7 +153,7 @@ class HddServer {
   void CloseConn(const ConnPtr& conn);
   void Respond(const ConnPtr& conn, const ResponseMsg& msg);
 
-  /// Completion path shared by both backends.
+  /// Answers a finished item and settles its admission.
   void FinishItem(const WorkItem& item, const ProgramResult& result);
 
   bool PopItemLocked(WorkItem* item);

@@ -14,11 +14,11 @@ namespace hdd {
 
 /// Fuzzy checkpointing. A checkpoint of segment S is the pair
 ///
-///   (snapshot of S's version chains, S's redo-log end LSN)
+///   (snapshot of S's version chains, the redo log's end LSN)
 ///
 /// captured in ONE critical section under S's shard latch — so the
-/// snapshot is exactly the state produced by the log prefix up to that
-/// LSN, and recovery restores the snapshot then replays only the suffix.
+/// snapshot is exactly the state S's writes up to that LSN produce, and
+/// recovery restores the snapshot then replays only S's later writes.
 /// No global quiesce: each segment checkpoints independently while
 /// transactions keep running in the others ("fuzzy" across segments,
 /// sharp within one).

@@ -8,8 +8,8 @@
 namespace hdd {
 
 Status GroupCommit::AwaitDurable(
-    std::uint64_t ticket, const std::function<Result<SyncBatch>()>& sync_all,
-    const std::function<std::uint64_t()>& pending_bytes) {
+    std::uint64_t lsn, const std::function<Result<SyncBatch>()>& sync_all,
+    const std::function<PendingWork()>& pending) {
   if (params_.mode == WalSyncMode::kNone) return Status::OK();
   metrics_->commit_waits.Add(1);
 
@@ -30,26 +30,29 @@ Status GroupCommit::AwaitDurable(
       error_ = batch.status();
       return error_;
     }
-    stable_ = std::max(stable_, batch->stable_ticket);
+    stable_ = std::max(stable_, batch->stable_lsn);
     metrics_->ObserveBatch(std::max<std::uint64_t>(1, batch->commits_covered));
-    return stable_ >= ticket
+    return stable_ >= lsn
                ? Status::OK()
-               : Status::Internal("sync batch did not cover own ticket");
+               : Status::Internal("sync batch did not cover own LSN");
   }
 
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     HDD_RETURN_IF_ERROR(error_);
-    if (stable_ >= ticket) return Status::OK();
+    if (stable_ >= lsn) return Status::OK();
     if (!leader_active_) {
       leader_active_ = true;
       lock.unlock();
-      // Let followers pile in before paying the fsync — unless enough
-      // bytes already wait. Under simulation this is one deterministic
-      // reschedule; in real time it is the configured flush interval.
-      if (params_.flush_interval.count() > 0 &&
-          pending_bytes() < params_.flush_bytes) {
-        SimSleep(params_.flush_interval);
+      // Let followers pile in before paying the sync — unless enough
+      // bytes already wait, or no other commit is pending to pile in.
+      // Under simulation this is one deterministic reschedule; in real
+      // time it is the configured flush interval.
+      if (params_.flush_interval.count() > 0) {
+        const PendingWork work = pending();
+        if (work.commits > 1 && work.bytes < params_.flush_bytes) {
+          SimSleep(params_.flush_interval);
+        }
       }
       Result<SyncBatch> batch = [&] {
         HDD_TRACE_SPAN("wal", "group_commit_flush");
@@ -62,17 +65,17 @@ Status GroupCommit::AwaitDurable(
         SimNotifyAll(cv_, this);
         return error_;
       }
-      stable_ = std::max(stable_, batch->stable_ticket);
+      stable_ = std::max(stable_, batch->stable_lsn);
       metrics_->ObserveBatch(
           std::max<std::uint64_t>(1, batch->commits_covered));
       SimNotifyAll(cv_, this);
-      continue;  // re-check own ticket (a racing append may outrun a batch)
+      continue;  // re-check own LSN (a racing append may outrun a batch)
     }
     SimWait(cv_, lock, this);
   }
 }
 
-std::uint64_t GroupCommit::stable_ticket() const {
+std::uint64_t GroupCommit::stable_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stable_;
 }

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/clock.h"
 #include "common/status.h"
 #include "storage/version.h"
@@ -15,7 +16,7 @@ namespace hdd {
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`.
 std::uint32_t Crc32(std::string_view data);
 
-/// On-disk framing, identical in every WAL stream (redo logs and
+/// On-disk framing, identical in every WAL stream (the redo log and
 /// checkpoint streams):
 ///
 ///   +----------------+----------------+=====================+
@@ -55,8 +56,8 @@ struct ScanResult {
 /// header with all its bytes present. The string_views alias `data`.
 Result<ScanResult> ScanFrames(std::string_view data);
 
-/// Redo-log record types. Write/commit/abort land in per-segment redo
-/// logs; the checkpoint types frame the snapshot streams.
+/// Record types. Write/commit/abort/prepare/read-bound records land in the
+/// node's one redo log; the checkpoint types frame the snapshot streams.
 enum class WalRecordType : std::uint8_t {
   kWrite = 1,
   kCommit = 2,
@@ -71,7 +72,7 @@ enum class WalRecordType : std::uint8_t {
   /// consistency violation the combined-history oracle would flag.
   kReadBound = 6,
   /// Two-phase-commit participant marker (src/dist/): the writes of `txn`
-  /// shipped to this segment are fully logged and the participant is
+  /// shipped to this node are fully logged and the participant is
   /// promising to commit them iff the coordinator's commit record becomes
   /// durable at the transaction's home node. Recovery keeps such writes
   /// aside (RecoveryReport::prepared_writes) instead of discarding them,
@@ -85,42 +86,30 @@ enum class WalRecordType : std::uint8_t {
 /// so replay re-installs versions at exactly their pre-crash position.
 struct WalRecord {
   WalRecordType type = WalRecordType::kWrite;
-  /// Global append ticket, assigned from one WAL-wide counter inside the
-  /// owning log's append critical section — so tickets are dense across
-  /// ALL logs (1, 2, 3, ...) and strictly increasing within each log.
-  /// Recovery computes the *frontier* F = the largest ticket with no hole
-  /// below it among the surviving records, and honors only records with
-  /// ticket <= F: since a record's causal dependencies always carry
-  /// smaller tickets, a commit that survived a crash "by luck" (its file's
-  /// unsynced tail partially retained) while a record it depends on in
-  /// ANOTHER file was lost is rolled back instead of resurrected. Acked
-  /// commits always land at or below F because the ack's fsync batch
-  /// covers every smaller ticket in every log.
-  std::uint64_t ticket = 0;
+  /// The byte offset the record's frame was appended at, stamped inside
+  /// the log's append critical section. Recovery honours the log only up
+  /// to the first frame whose stamp differs from the offset it was found
+  /// at: such a frame proves the storage acknowledged an earlier append
+  /// and then lost it. Checkpoint-stream records carry 0.
+  std::uint64_t lsn = 0;
   TxnId txn = kInvalidTxn;
   Timestamp init_ts = kTimestampMin;
+  SegmentId segment = 0;      // kWrite only
   std::uint32_t granule = 0;  // kWrite only
   Value value = 0;            // kWrite only
   std::string blob;           // checkpoint types only
-  /// kCommit only: every segment this transaction wrote (and therefore
-  /// every log carrying a copy of this commit record). The copies make
-  /// each segment's log self-contained for its own versions; the ticket
-  /// frontier above is what protects against per-file fsync being
-  /// non-atomic across files (a crash mid-sync persisting one copy while
-  /// losing a sibling segment's records).
-  std::vector<SegmentId> segments;
 };
 
 /// Record payload encoding (the bytes inside a frame).
 std::string EncodeWalRecord(const WalRecord& record);
 Result<WalRecord> DecodeWalRecord(std::string_view payload);
 
-// Little-endian integer helpers shared by the checkpoint encoder.
-void PutU32(std::string* out, std::uint32_t v);
-void PutU64(std::string* out, std::uint64_t v);
-/// Reads and advances `*data`; false when too short.
-bool GetU32(std::string_view* data, std::uint32_t* v);
-bool GetU64(std::string_view* data, std::uint64_t* v);
+/// The redo log's append path, split so that only the position-dependent
+/// work runs under the log mutex. EncodeUnsealedWalFrame allocates and
+/// encodes a complete frame whose LSN and CRC are still blank;
+/// SealWalFrame stamps `lsn` into it and writes the CRC.
+std::string EncodeUnsealedWalFrame(const WalRecord& record);
+void SealWalFrame(std::string* frame, std::uint64_t lsn);
 
 }  // namespace hdd
 

@@ -4,31 +4,26 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
 #include "storage/version.h"
 #include "wal/group_commit.h"
-#include "wal/segment_log.h"
+#include "wal/log_format.h"
 #include "wal/wal_storage.h"
 
 namespace hdd {
 
-/// File names inside a WalStorage namespace.
-std::string SegmentLogName(SegmentId segment);
+/// File names inside a WalStorage namespace: the node's one redo log plus
+/// the checkpoint streams.
+inline constexpr const char kWalLogName[] = "wal.log";
 std::string SegmentCheckpointName(SegmentId segment);
 inline constexpr const char kControlCheckpointName[] = "ctrl.ckpt";
 
 struct WalOptions {
   GroupCommit::Params group;
-
-  /// First ticket issued is initial_ticket + 1. After recovery, pass
-  /// RecoveryReport::frontier_ticket so the reopened WAL continues the
-  /// dense global ticket sequence (recovery truncated every record past
-  /// the frontier, so no on-disk ticket exceeds it).
-  std::uint64_t initial_ticket = 0;
 
   /// TEST-ONLY mutation switch, the durability canary of the sim harness:
   /// commit records are appended but NEVER awaited (no fsync before the
@@ -38,39 +33,35 @@ struct WalOptions {
   bool mutation_skip_commit_sync = false;
 };
 
-/// The durability facade the controller talks to: one redo SegmentLog per
-/// segment behind a single global commit gate.
+/// The durability facade the controller talks to: ONE append-only redo
+/// log per WalStorage namespace (kWalLogName) behind a group-commit gate.
+/// Writes carry their segment; LSNs are byte offsets into the log, and
+/// each record is stamped with its own (WalRecord::lsn). A reopened WAL
+/// continues at the file's size — recovery truncated it to the honoured
+/// prefix first.
 ///
-/// ## Ticket discipline (why one global gate, not one per segment)
+/// ## Why one file is enough
 ///
-/// Every append draws a global, monotonically increasing *ticket* inside
-/// its log's append critical section, and the ticket is written into the
-/// record on disk. A sync batch captures the current ticket and then
-/// fsyncs every dirty log (each fsync serializes with in-flight appends
-/// through the same per-log lock), so every record ticketed at or below
-/// the capture is durable afterwards — across ALL segments. Acking commit
-/// T therefore implies durability of every record T causally depends on:
-/// any version T read was marked committed (atomically, under the same
-/// shard latch, with its commit record's append) before T's read, hence
-/// before T's own commit ticket. Per-segment stability points would not
-/// give that: T's cross-segment Protocol A reads would race the other
-/// segment's fsync.
-///
-/// The on-disk tickets are what recovery's *frontier* is computed from:
-/// only records whose ticket has no missing predecessor anywhere are
-/// honored, so a record that survives a crash by luck while something it
-/// causally depends on (possibly in another file) was lost is rolled back
-/// (see WalRecord::ticket and recovery.h).
+/// A sync batch captures the log's end LSN under the log mutex, then runs
+/// one Sync. Every record below the capture has finished its append (the
+/// append holds the same mutex), and the crash model keeps a prefix of
+/// the file, so acking LSN x makes every earlier record durable. Acking
+/// commit T therefore covers every record T causally depends on: any
+/// version T read was marked committed, under the shard latch that also
+/// appended its commit record, before T's read — hence before T's own
+/// commit record. The class partition decides which latch orders a
+/// record, not which file holds it.
 ///
 /// ## Ordering
 ///
 /// Callers append write/commit/abort records under the SAME shard latch
-/// that installs/commits/removes the version, so each segment log's
-/// record order equals the in-memory effect order, and "record durable"
+/// that installs/commits/removes the version, so each segment's records
+/// appear in the log in the in-memory effect order, and "record durable"
 /// implies "effect happened". Replay in log order therefore reconstructs
 /// the chains exactly (recovery.h).
 class WalManager {
  public:
+  /// `num_segments` bounds the segment tags LogWrite accepts.
   static Result<std::unique_ptr<WalManager>> Open(WalStorage* storage,
                                                   int num_segments,
                                                   WalOptions options = {});
@@ -78,38 +69,29 @@ class WalManager {
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
 
-  /// Append hooks — call under the shard latch that serializes version
-  /// installs for `segment`. Each returns the record's global ticket.
+  /// Append hooks — call under the shard latch that serializes the
+  /// effect. Each returns the LSN just past its record: the position
+  /// WaitDurable must reach for the record to be durable.
   Result<std::uint64_t> LogWrite(SegmentId segment, TxnId txn,
                                  Timestamp init_ts, std::uint32_t granule,
                                  Value value);
-  /// `written_segments` lists every segment the transaction wrote; a copy
-  /// of the commit record (carrying the full list, for diagnostics) goes
-  /// to each, so any single segment's log replays to a complete picture of
-  /// its own versions. Cross-file atomicity comes from the ticket
-  /// frontier, not the copies: recovery honors a commit only when nothing
-  /// ticketed before it was lost anywhere (see WalRecord::ticket).
-  Result<std::uint64_t> LogCommit(SegmentId segment, TxnId txn,
-                                  Timestamp init_ts,
-                                  const std::vector<SegmentId>& written_segments);
-  Result<std::uint64_t> LogAbort(SegmentId segment, TxnId txn,
-                                 Timestamp init_ts);
+  Result<std::uint64_t> LogCommit(TxnId txn, Timestamp init_ts);
+  Result<std::uint64_t> LogAbort(TxnId txn, Timestamp init_ts);
 
   /// 2PC participant marker (see WalRecordType::kPrepare): append after
-  /// every shipped write of `txn` for `segment` is logged, then await the
-  /// returned ticket before acking the prepare.
-  Result<std::uint64_t> LogPrepare(SegmentId segment, TxnId txn,
-                                   Timestamp init_ts);
+  /// every shipped write of `txn` is logged, then await the returned LSN
+  /// before acking the prepare.
+  Result<std::uint64_t> LogPrepare(TxnId txn, Timestamp init_ts);
 
   /// Clock marker for read-only commits (see WalRecordType::kReadBound):
   /// records `now` so recovery never rewinds the clock below an acked
-  /// reader's bound. Lands in segment 0's log; call before AwaitReadStable.
+  /// reader's bound. Call before AwaitReadStable.
   Result<std::uint64_t> LogReadBound(Timestamp now);
 
-  /// Commit-wait: blocks (leader/follower group commit) until `ticket` is
-  /// durable. Call with NO latches held. Returns immediately under
-  /// WalSyncMode::kNone and under the canary mutation.
-  Status WaitDurable(std::uint64_t ticket);
+  /// Commit-wait: blocks (leader/follower group commit) until every log
+  /// byte below `lsn` is durable. Call with NO latches held. Returns
+  /// immediately under WalSyncMode::kNone and under the canary mutation.
+  Status WaitDurable(std::uint64_t lsn);
 
   /// Read barrier for read-only transactions: waits until everything
   /// appended so far is durable. A read-only transaction acked after this
@@ -118,34 +100,31 @@ class WalManager {
   /// evaporate in a crash.
   Status AwaitReadStable();
 
-  /// Current global append ticket (grows with every record).
-  std::uint64_t CurrentTicket() const {
-    return append_ticket_.load(std::memory_order_acquire);
-  }
+  /// End of everything appended so far; call under a segment's shard
+  /// latch to capture a checkpoint position consistent with its chains.
+  std::uint64_t EndLsn() const;
 
-  /// End LSN of one segment's redo log; call under that segment's shard
-  /// latch to capture a checkpoint position consistent with the chains.
-  std::uint64_t LogEndLsn(SegmentId segment) const;
-
-  int num_segments() const { return static_cast<int>(logs_.size()); }
+  int num_segments() const { return num_segments_; }
   WalStorage& storage() { return *storage_; }
   const WalOptions& options() const { return options_; }
   WalMetrics& metrics() { return metrics_; }
   const WalMetrics& metrics() const { return metrics_; }
 
  private:
-  WalManager(WalStorage* storage, WalOptions options);
+  WalManager(WalStorage* storage, int num_segments, WalOptions options,
+             std::uint64_t end_lsn);
 
-  Result<std::uint64_t> AppendRecord(SegmentId segment,
-                                     const WalRecord& record);
+  Result<std::uint64_t> AppendRecord(const WalRecord& record);
   Result<SyncBatch> SyncAll();
-  std::uint64_t PendingBytes() const;
+  PendingWork Pending() const;
 
-  WalStorage* storage_;
-  WalOptions options_;
+  WalStorage* const storage_;
+  const int num_segments_;
+  const WalOptions options_;
   WalMetrics metrics_;
-  std::vector<SegmentLog> logs_;
-  std::atomic<std::uint64_t> append_ticket_{0};
+  mutable std::mutex mu_;
+  std::uint64_t end_lsn_;      // guarded by mu_
+  std::uint64_t durable_lsn_;  // guarded by mu_
   std::atomic<std::uint64_t> pending_commits_{0};
   GroupCommit gate_;
 };

@@ -14,7 +14,7 @@
 namespace hdd {
 
 /// Byte-level persistence behind the WAL: a namespace of append-only files
-/// ("seg-3.log", "seg-3.ckpt", "ctrl.ckpt") with an explicit sync barrier.
+/// ("wal.log", "seg-3.ckpt", "ctrl.ckpt") with an explicit sync barrier.
 /// The contract mirrors a POSIX file plus page cache:
 ///
 ///  * `Append` buffers bytes at the end of the file; they are READABLE
@@ -34,8 +34,8 @@ class WalStorage {
   /// Entire current contents ("" when the file does not exist yet).
   virtual Result<std::string> Read(const std::string& name) = 0;
 
-  /// Current size in bytes (0 when absent). The append position a fresh
-  /// SegmentLog opens at.
+  /// Current size in bytes (0 when absent). The append position a
+  /// reopened WalManager continues at.
   virtual Result<std::uint64_t> Size(const std::string& name) = 0;
 
   virtual Status Append(const std::string& name, std::string_view data) = 0;

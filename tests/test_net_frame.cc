@@ -262,29 +262,26 @@ TEST(Protocol, MalformedPayloadsRejectedNotCrashed) {
   EXPECT_FALSE(DecodeRequest(hostile).ok());
 }
 
-TEST(Protocol, ToTxnProgramDeclaresOwnSegmentAccesses) {
+TEST(Protocol, ToTxnProgramCarriesTheSubmitOptions) {
   SubmitRequest submit;
   submit.txn_class = 2;
   submit.ops = {
-      {WireOp::Kind::kRead, {0, 1}, 0},   // upper read: not declared
-      {WireOp::Kind::kRead, {2, 5}, 0},   // own read: declared
-      {WireOp::Kind::kWrite, {2, 6}, 7},  // own write: declared
+      {WireOp::Kind::kRead, {0, 1}, 0},
+      {WireOp::Kind::kWrite, {2, 6}, 7},
   };
   auto values = std::make_shared<std::vector<Value>>();
   const TxnProgram program = ToTxnProgram(submit, values);
   EXPECT_EQ(program.options.txn_class, 2);
-  ASSERT_EQ(program.declared_reads.size(), 1u);
-  EXPECT_EQ(program.declared_reads[0], (GranuleRef{2, 5}));
-  ASSERT_EQ(program.declared_writes.size(), 1u);
-  EXPECT_EQ(program.declared_writes[0], (GranuleRef{2, 6}));
+  EXPECT_FALSE(program.options.read_only);
 
   SubmitRequest ro;
   ro.read_only = true;
+  ro.read_scope = {0};
   ro.ops = {{WireOp::Kind::kRead, {0, 1}, 0}};
   const TxnProgram ro_program = ToTxnProgram(ro, nullptr);
   EXPECT_TRUE(ro_program.options.read_only);
   EXPECT_EQ(ro_program.options.txn_class, kReadOnlyClass);
-  EXPECT_TRUE(ro_program.declared_reads.empty());
+  EXPECT_EQ(ro_program.options.read_scope, (std::vector<SegmentId>{0}));
 }
 
 }  // namespace

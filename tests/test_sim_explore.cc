@@ -535,7 +535,7 @@ TEST(SimExplore, EpochCanaryMutationIsCaught) {
 //      every commit acknowledged before the crash is recovered, and the
 //      recovered chains are exactly the durable image of the pre-crash
 //      chains (committed versions of durable transactions, nothing else),
-//   3. restarts: reopens the WAL at the recovered ticket frontier,
+//   3. restarts: reopens the WAL at the recovered log's end,
 //      restores control state, advances the clock past the recovered
 //      floor, runs a second era of transactions,
 //   4. checks the COMBINED pre-crash (durable slice) + post-recovery
@@ -686,7 +686,6 @@ SimWorkloadFn WalCrashWorkload(WorkloadShape shape, WalOptions wopts,
     // sim hooks — the scheduler has halted; a single worker keeps the
     // post-crash history deterministic.
     WalOptions wopts2 = wopts;
-    wopts2.initial_ticket = report->frontier_ticket;
     wopts2.mutation_skip_commit_sync = false;
     auto wal2 = WalManager::Open(&storage, db2->num_segments(), wopts2);
     if (!wal2.ok()) return wal2.status().ToString();
@@ -1205,7 +1204,6 @@ TEST(SimExplore, RedecompCrashRecoverySweep) {
     // Restart, replaying the completed merges before the second era so
     // the class structure the survivors committed under is rebuilt.
     WalOptions wopts2 = wopts;
-    wopts2.initial_ticket = report->frontier_ticket;
     auto wal2 = WalManager::Open(&storage, db2.num_segments(), wopts2);
     if (!wal2.ok()) return wal2.status().ToString();
     db2.AttachWal(wal2->get());

@@ -65,9 +65,9 @@ constexpr TxnId kAckedTxns = 40;
              .ok()) {
       _exit(5);
     }
-    auto ticket = (*wal)->LogCommit(segment, txn, init_ts, {segment});
-    if (!ticket.ok()) _exit(6);
-    if (!(*wal)->WaitDurable(*ticket).ok()) _exit(7);
+    auto lsn = (*wal)->LogCommit(txn, init_ts);
+    if (!lsn.ok()) _exit(6);
+    if (!(*wal)->WaitDurable(*lsn).ok()) _exit(7);
     const std::string line = std::to_string(txn) + "\n";
     if (::write(ack_fd, line.data(), line.size()) !=
         static_cast<ssize_t>(line.size())) {
@@ -79,7 +79,7 @@ constexpr TxnId kAckedTxns = 40;
   // A little unacked tail: appended, never awaited. Recovery may keep or
   // roll these back; either is consistent.
   (void)(*wal)->LogWrite(0, kAckedTxns + 1, 10 * (kAckedTxns + 1), 0, 7777);
-  (void)(*wal)->LogCommit(0, kAckedTxns + 1, 10 * (kAckedTxns + 1), {0});
+  (void)(*wal)->LogCommit(kAckedTxns + 1, 10 * (kAckedTxns + 1));
 
   ::raise(SIGKILL);
   _exit(10);  // unreachable
@@ -127,13 +127,15 @@ TEST(WalProcessCrash, Kill9ThenRecoverKeepsEveryAckedCommit) {
   }
   EXPECT_GE(report->max_timestamp, 10 * kAckedTxns);
 
-  // The directory is reusable: a second incarnation continues from the
-  // frontier and recovers idempotently.
+  // The directory is reusable: a second recovery finds the log already
+  // cut to its honoured end and recovers idempotently.
+  const auto end = storage.Size(kWalLogName);
+  ASSERT_TRUE(end.ok());
   Database again(kSegments, kGranules, 0);
   const auto report2 = RecoverDatabase(&storage, &again);
   ASSERT_TRUE(report2.ok());
   EXPECT_EQ(report2->durable_commits, report->durable_commits);
-  EXPECT_EQ(report2->frontier_ticket, report->frontier_ticket);
+  EXPECT_EQ(storage.Size(kWalLogName).value(), *end);
 
   std::error_code ec;
   std::filesystem::remove_all(scratch, ec);
